@@ -79,10 +79,12 @@ class ParallelLouvainConfig:
     #: order of magnitude faster.
     backend: str = "hash"
     #: Execution mode: ``"simulated"`` runs every rank in this process over
-    #: the simulated bus; ``"process"`` forks one OS process per rank with
-    #: rank state in shared memory and byte-level alltoallv
-    #: (:mod:`repro.runtime.process`) -- same algorithm, bit-identical
-    #: trajectory, real cores.  Process mode requires the vector backend.
+    #: the simulated bus (the vector backend's per-rank compute on executor
+    #: threads on large levels, see ``Simulation.map_ranks``); ``"process"``
+    #: forks one OS process per rank with rank state in shared memory and
+    #: byte-level alltoallv (:mod:`repro.runtime.process`) -- same
+    #: algorithm, bit-identical trajectory, real cores.  Process mode
+    #: requires the vector backend.
     execution: str = "simulated"
 
     def __post_init__(self) -> None:
@@ -777,7 +779,6 @@ def parallel_louvain(
     )
     backend = _make_backend(config)
     partition = ModuloPartition(graph.num_vertices, config.num_ranks)
-    ranks = backend.build_states(sim, partition, graph, config)
 
     def level0_q() -> float:
         return modularity_from_labels(
@@ -790,18 +791,24 @@ def parallel_louvain(
             resolution=config.resolution,
         )
 
-    membership, level_labels, modularities, levels = _louvain_core(
-        sim,
-        partition,
-        backend,
-        ranks,
-        config,
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
-        initial_membership=initial_membership,
-        level0_q=level0_q,
-        tracer=tracer,
-    )
+    # The run owns the rank executor's threads: join them on every exit
+    # path, so none is alive when a later process-mode run forks.
+    try:
+        ranks = backend.build_states(sim, partition, graph, config)
+        membership, level_labels, modularities, levels = _louvain_core(
+            sim,
+            partition,
+            backend,
+            ranks,
+            config,
+            num_vertices=graph.num_vertices,
+            num_edges=graph.num_edges,
+            initial_membership=initial_membership,
+            level0_q=level0_q,
+            tracer=tracer,
+        )
+    finally:
+        sim.close()
     return ParallelLouvainResult(
         membership=membership,
         level_labels=level_labels,

@@ -141,7 +141,6 @@ class _VectorRankState:
         v: np.ndarray,
         u: np.ndarray,
         w: np.ndarray,
-        sanitizer=None,
     ) -> None:
         self.rank = rank
         self.num_ranks = partition.num_ranks
@@ -153,8 +152,6 @@ class _VectorRankState:
         check_combined_width(
             self.n_level, self.n_level, what=f"rank {rank} level adjacency key"
         )
-        if sanitizer is not None and sanitizer.enabled:
-            sanitizer.check_finite(w, rank=rank, what="in-edge weights")
         v = np.asarray(v, dtype=np.int64)
         u = np.asarray(u, dtype=np.int64)
         keys, weights = segment_coalesce(v * n + u, w)
@@ -199,8 +196,335 @@ class _VectorRankState:
         self.tables = _ArrayTables(self)
 
 
+def _check_weights(sanitizer, rank: int, w: np.ndarray) -> None:
+    """The sanitizer's finite-weight contract for one rank's in-edges.
+
+    Runs on the driver thread before the rank's state is built (rank states
+    are built on the rank executor, which never touches the sanitizer).
+    """
+    if sanitizer.enabled:
+        sanitizer.check_finite(w, rank=rank, what="in-edge weights")
+
+
+# ===================================================================== #
+# Per-rank kernels
+#
+# Each function below is one rank's share of a superstep.  The backend runs
+# them through ``Simulation.map_ranks``, so they may execute concurrently
+# on executor threads: each touches only its own rank state and the
+# read-only inbox of the last exchange, never the profiler, tracer,
+# sanitizer or bus.  Work counts that depend on the inbox are returned for
+# the driver to charge.
+# ===================================================================== #
+
+
+def _propagation_outbox(st: _VectorRankState) -> list[tuple[np.ndarray, ...]]:
+    """STATE PROPAGATION send half: each in-edge tagged with u's community."""
+    comm = st.community
+    return [(v, comm[ul], w) for (v, ul, w) in st.send_parts]
+
+
+def _rebuild_out_table(st: _VectorRankState, inbox, static_inbox: bool) -> int:
+    """STATE PROPAGATION receive half: coalesce the inbox into Out_Table.
+
+    Returns the number of records scanned.
+    """
+    vl_in, c_in, w_in = inbox
+    c_in = np.asarray(c_in, dtype=np.int64)
+    n_level = st.n_level
+    n = np.int64(n_level)
+    n_local = int(st.owned.size)
+    # The pregrouped exchange delivers a *static* u_local column every
+    # iteration of a level (the send parts never change), so the column and
+    # its radix cast are cached after the first propagation.  Failure
+    # injection permutes inboxes and disables the cache.
+    if static_inbox:
+        if st.prop_ul is None:
+            st.prop_ul = np.asarray(vl_in, dtype=np.int64)
+            st.prop_key_base = st.prop_ul * n
+            if n_local <= 1 << 16:
+                st.prop_ul16 = st.prop_ul.astype(np.uint16)
+        ul = st.prop_ul
+        ul16 = st.prop_ul16
+    else:
+        ul = np.asarray(vl_in, dtype=np.int64)
+        ul16 = None
+    # The distinct community labels seen on in-edges double as the
+    # sigma-fetch want set (distinct out_c == distinct c_in), so the flag
+    # scan here is not wasted work even on the sort fallback.
+    flags = np.zeros(n_level, dtype=bool)
+    flags[c_in] = True
+    st.sigma_flags = flags
+    cids = np.flatnonzero(flags)
+    k = int(cids.size)
+    # Warm start: the Eq.-7 throttle means most sources keep their community
+    # between iterations, so most (u_local, c) keys are unchanged.
+    # Re-sorting through the previous permutation is then nearly sorted --
+    # the stable sort degenerates to a linear merge -- and any valid ordering
+    # gives bit-identical groups (sums fold in arrival order regardless).
+    done = False
+    if static_inbox and st.prev_order is not None:
+        key = st.prop_key_base + c_in
+        churn = int(np.count_nonzero(key != st.prev_key))
+        if churn * 8 <= key.size:
+            g = key[st.prev_order]
+            order = st.prev_order[np.argsort(g, kind="stable")]
+            ukeys, sums = coalesce_with_order(key, order, w_in)
+            st.out_ul = ukeys // n
+            st.out_c = ukeys - st.out_ul * n
+            st.out_w = sums
+            st.prev_key = key
+            st.prev_order = order
+            done = True
+    if not done and k:
+        # Remap the k live community labels to compact ids, then grade the
+        # grouping strategy (dense grid / 16-bit radix / combined-key sort);
+        # ``cids`` is ascending, so compact order is label order and
+        # ``cids[...]`` restores labels.
+        dtype = np.uint16 if k <= 1 << 16 else np.int64
+        lut = np.empty(n_level, dtype=dtype)
+        lut[cids] = np.arange(k, dtype=dtype)
+        cc = lut[c_in]
+        bins = n_local * k
+        order = None
+        if 0 < bins <= max(1 << 16, 8 * ul.size):
+            out_ul, ccu, sums = coalesce_pairs(ul, cc, n_local, k, w_in)
+        elif n_local <= 1 << 16 and k <= 1 << 16:
+            c16 = cc if cc.dtype == np.uint16 else cc.astype(np.uint16)
+            u16 = ul16 if ul16 is not None else ul.astype(np.uint16)
+            p = np.argsort(c16, kind="stable")
+            order = p[np.argsort(u16[p], kind="stable")]
+        else:
+            order = np.argsort(ul * np.int64(k) + cc, kind="stable")
+        if order is None:
+            st.out_ul = out_ul
+            st.out_c = cids[ccu]
+            st.out_w = sums
+            st.prev_key = None
+            st.prev_order = None
+        else:
+            key = st.prop_key_base + c_in if static_inbox else ul * n + c_in
+            ukeys, sums = coalesce_with_order(key, order, w_in)
+            st.out_ul = ukeys // n
+            st.out_c = ukeys - st.out_ul * n
+            st.out_w = sums
+            if static_inbox:
+                st.prev_key = key
+                st.prev_order = order
+        done = True
+    if not done:
+        keys, sums = segment_coalesce(ul * n + c_in, w_in)
+        st.out_ul = keys // n
+        st.out_c = keys - st.out_ul * n
+        st.out_w = sums
+    starts = segment_starts(st.out_ul)
+    st.out_starts = starts
+    seg = np.zeros(st.out_ul.size, dtype=np.int32)
+    if starts.size:
+        seg[starts] = 1
+        np.cumsum(seg, out=seg)
+        seg -= 1
+    st.out_seg = seg
+    return int(ul.size)
+
+
+def _sigma_request(
+    st: _VectorRankState, partition: ModuloPartition, grouped: bool
+):
+    """Sigma fetch, first superstep: the communities this rank must read."""
+    num_ranks = partition.num_ranks
+    # sigma_flags already marks distinct(out_c); add home labels.
+    flags = st.sigma_flags
+    flags[st.community] = True
+    if grouped:
+        parts = []
+        for d in range(num_ranks):
+            wd = np.flatnonzero(flags[d::num_ranks])
+            wd *= num_ranks
+            wd += d
+            parts.append((wd, np.full(wd.size, st.rank, dtype=np.int64)))
+        return parts
+    want = np.flatnonzero(flags)
+    dest = partition.owner(want)
+    requester = np.full(want.size, st.rank, dtype=np.int64)
+    return (dest, want, requester)
+
+
+def _sigma_reply(
+    st: _VectorRankState, inbox, partition: ModuloPartition, grouped: bool
+):
+    """Sigma fetch, second superstep: answer requests for owned communities.
+
+    Returns ``(reply, records_answered)``.
+    """
+    num_ranks = partition.num_ranks
+    c_req, who = inbox
+    c_req = np.asarray(c_req, dtype=np.int64)
+    local = partition.to_local(c_req)
+    vals = st.tot[local] if c_req.size else np.empty(0)
+    sizes = st.size[local] if c_req.size else np.empty(0, dtype=np.int64)
+    if grouped:
+        who = np.asarray(who, dtype=np.int64)
+        bounds = np.searchsorted(who, np.arange(num_ranks + 1, dtype=np.int64))
+        reply = [
+            (
+                c_req[bounds[d]:bounds[d + 1]],
+                vals[bounds[d]:bounds[d + 1]],
+                sizes[bounds[d]:bounds[d + 1]],
+            )
+            for d in range(num_ranks)
+        ]
+        return reply, int(c_req.size)
+    return (np.asarray(who, dtype=np.int64), c_req, vals, sizes), int(c_req.size)
+
+
+def _store_sigma(st: _VectorRankState, inbox) -> None:
+    """Sigma fetch, receive side: refresh the dense replicas."""
+    c_rep, t_rep, s_rep = inbox
+    c_rep = np.asarray(c_rep, dtype=np.int64)
+    st.rep_tot[c_rep] = np.asarray(t_rep, dtype=np.float64)
+    st.rep_size[c_rep] = np.asarray(s_rep, dtype=np.int64)
+
+
+def _find_best_rank(
+    st: _VectorRankState, m: float, resolution: float, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """FIND_BEST for one rank: ``(m_u, c_hat)`` over its local vertices.
+
+    ``idx`` is an ``arange`` at least as long as the Out_Table.
+    """
+    two_m2 = 2.0 * m * m
+    n_local = st.owned.size
+    mu = np.zeros(n_local, dtype=np.float64)
+    chat = st.community.copy()
+    ul, c, w = st.out_ul, st.out_c, st.out_w
+    if n_local == 0 or ul.size == 0:
+        return mu, chat
+    cu = st.community[ul]
+    ku = st.strength[ul]
+    sigma = st.rep_tot[c]
+    is_home = c == cu
+    # Same expressions and evaluation order as the hash backend's _find_best
+    # -- spelled with in-place/masked ufuncs (each step still rounds
+    # identically), which halves the temporaries on the hot path.
+    np.subtract(sigma, ku, out=sigma, where=is_home)  # sigma_eff
+    w_eff = w.copy()
+    np.subtract(w_eff, st.self_adj[ul], out=w_eff, where=is_home)
+    np.multiply(sigma, resolution, out=sigma)
+    np.multiply(sigma, ku, out=sigma)
+    np.divide(sigma, two_m2, out=sigma)
+    np.divide(w_eff, m, out=w_eff)
+    np.subtract(w_eff, sigma, out=w_eff)
+    gain = w_eff
+
+    sigma_home_all = st.rep_tot[st.community] - st.strength
+    stay = -resolution * sigma_home_all * st.strength / two_m2
+    stay[ul[is_home]] = gain[is_home]
+
+    cand_size = st.rep_size[c]
+    home_size = st.rep_size[cu]
+    blocked = (cand_size == 1) & (home_size == 1) & (c > cu)
+
+    # Entries are sorted by (u_local, c); the first entry of a segment that
+    # attains the segment maximum is therefore the smallest community id
+    # among the maxima -- the hash path's lexsort tie-break, without the
+    # lexsort.  Masked entries are -inf, which finite gains never are, so
+    # the -inf test replaces a separately materialized feasibility mask.
+    masked = np.where(is_home, -np.inf, gain)
+    np.copyto(masked, -np.inf, where=blocked)
+    starts = st.out_starts
+    seg_max = np.maximum.reduceat(masked, starts)
+    cond = masked == seg_max[st.out_seg]
+    cond &= masked != -np.inf
+    hit = np.where(cond, idx[:ul.size], np.int32(ul.size))
+    first = np.minimum.reduceat(hit, starts)
+    valid = first < ul.size
+    sel = first[valid]
+    usel = ul[sel]
+    mu[usel] = gain[sel] - stay[usel]
+    chat[usel] = c[sel]
+    return mu, chat
+
+
+def _modularity_outbox(st: _VectorRankState, partition: ModuloPartition):
+    """MODULARITY send half: home-community Out_Table weight to its owner."""
+    if st.out_ul.size:
+        home = st.out_c == st.community[st.out_ul]
+        c_h, w_h = st.out_c[home], st.out_w[home]
+    else:
+        c_h = np.empty(0, dtype=np.int64)
+        w_h = np.empty(0, dtype=np.float64)
+    # Pregroup per destination: a handful of boolean scans beats the bus's
+    # per-record argsort, and within-destination arrival order (hence every
+    # downstream fold) is unchanged.
+    dest = partition.owner(c_h)
+    parts = []
+    for d in range(partition.num_ranks):
+        idx = np.flatnonzero(dest == d)
+        parts.append((c_h[idx], w_h[idx]))
+    return parts
+
+
+def _modularity_partial(
+    st: _VectorRankState,
+    inbox,
+    partition: ModuloPartition,
+    m: float,
+    resolution: float,
+) -> tuple[float, int]:
+    """MODULARITY receive half: this rank's Q term and records scanned."""
+    c_in, w_in = inbox
+    c_in = np.asarray(c_in, dtype=np.int64)
+    if c_in.size:
+        acc = np.bincount(
+            partition.to_local(c_in),
+            weights=np.asarray(w_in, dtype=np.float64),
+            minlength=st.owned.size,
+        )
+    else:
+        acc = np.zeros(st.owned.size, dtype=np.float64)
+    two_m = 2.0 * m
+    partial = float(
+        (acc / two_m).sum() - resolution * ((st.tot / two_m) ** 2).sum()
+    )
+    return partial, int(c_in.size + st.owned.size)
+
+
+def _contraction_outbox(
+    st: _VectorRankState, new_ids: np.ndarray, new_partition: ModuloPartition
+):
+    """RECONSTRUCTION: ``(label fragment, superedge outbox)`` for one rank.
+
+    The fragment renames the rank's owned vertices to next-level ids; the
+    outbox turns each Out_Table entry into a superedge addressed to the
+    owner of its destination supervertex (Fig. 3's all-to-all).
+    """
+    frag = np.searchsorted(new_ids, st.community)
+    if st.out_ul.size:
+        src_comm = frag[st.out_ul]
+        dst_comm = np.searchsorted(new_ids, st.out_c)
+    else:
+        src_comm = np.empty(0, dtype=np.int64)
+        dst_comm = np.empty(0, dtype=np.int64)
+    return frag, (new_partition.owner(dst_comm), src_comm, dst_comm, st.out_w)
+
+
+def _level_work(ranks) -> int:
+    """The executor's size for one superstep: the level's adjacency entries.
+
+    Every per-rank kernel's arrays scale with the rank's in-edges.
+    """
+    return sum(int(st.in_v.size) for st in ranks)
+
+
 class VectorBackend:
-    """Flat-array data-plane; same control-plane as the hash backend."""
+    """Flat-array data-plane; same control-plane as the hash backend.
+
+    Every per-rank loop runs through ``Simulation.map_ranks`` (concurrently
+    when the host has spare cores and the level is large enough);
+    exchanges, collectives and profiler charges stay on the driver thread in
+    ascending rank order.
+    """
 
     name = "vector"
 
@@ -208,7 +532,10 @@ class VectorBackend:
         self._idx = np.empty(0, dtype=np.int32)
 
     def _indices(self, size: int) -> np.ndarray:
-        """Cached ``arange(size)`` (int32) for the per-iteration gain scan."""
+        """Cached ``arange(size)`` (int32) for the per-iteration gain scan.
+
+        Driver thread only: size it for the largest rank before the map.
+        """
         if self._idx.size < size:
             self._idx = np.arange(
                 max(size, 2 * self._idx.size), dtype=np.int32
@@ -224,16 +551,19 @@ class VectorBackend:
         cols = graph.indices
         weights = graph.weights
         owners = partition.owner(cols)
-        states = []
-        for rank in range(partition.num_ranks):
+        if sim.sanitizer.enabled:
+            for rank in range(partition.num_ranks):
+                _check_weights(sim.sanitizer, rank, weights[owners == rank])
+
+        def build(rank: int) -> _VectorRankState:
             mask = owners == rank
-            states.append(
-                _VectorRankState(
-                    rank, partition, rows[mask], cols[mask], weights[mask],
-                    sanitizer=sim.sanitizer,
-                )
+            return _VectorRankState(
+                rank, partition, rows[mask], cols[mask], weights[mask]
             )
-        return states
+
+        return sim.map_ranks(
+            build, range(partition.num_ranks), work=int(cols.size)
+        )
 
     # -------------------------------------------------------------- #
     # STATE PROPAGATION (Algorithm 3) + sigma_tot replica refresh
@@ -242,122 +572,21 @@ class VectorBackend:
     def state_propagation(self, sim, partition, ranks):
         bus = sim.bus
         prof = sim.profiler
-        n = np.int64(partition.num_vertices)
-        n_level = int(partition.num_vertices)
-        outboxes = []
+        work = _level_work(ranks)
+        outboxes = sim.map_ranks(_propagation_outbox, ranks, work=work)
         for st in ranks:
-            comm = st.community
-            parts = [(v, comm[ul], w) for (v, ul, w) in st.send_parts]
             prof.add_ops(st.rank, st.in_v.size)
-            outboxes.append(parts)
         result = bus.exchange_grouped(outboxes)
         static_inbox = bus.reorder_rng is None
-        for st in ranks:
-            vl_in, c_in, w_in = result.inbox(st.rank)
-            c_in = np.asarray(c_in, dtype=np.int64)
-            n_local = int(st.owned.size)
-            # The pregrouped exchange delivers a *static* u_local column
-            # every iteration of a level (the send parts never change), so
-            # the column and its radix cast are cached after the first
-            # propagation.  Failure injection permutes inboxes and disables
-            # the cache.
-            if static_inbox:
-                if st.prop_ul is None:
-                    st.prop_ul = np.asarray(vl_in, dtype=np.int64)
-                    st.prop_key_base = st.prop_ul * n
-                    if n_local <= 1 << 16:
-                        st.prop_ul16 = st.prop_ul.astype(np.uint16)
-                ul = st.prop_ul
-                ul16 = st.prop_ul16
-            else:
-                ul = np.asarray(vl_in, dtype=np.int64)
-                ul16 = None
-            # The distinct community labels seen on in-edges double as the
-            # sigma-fetch want set (distinct out_c == distinct c_in), so the
-            # flag scan here is not wasted work even on the sort fallback.
-            flags = np.zeros(n_level, dtype=bool)
-            flags[c_in] = True
-            st.sigma_flags = flags
-            cids = np.flatnonzero(flags)
-            k = int(cids.size)
-            # Warm start: the Eq.-7 throttle means most sources keep their
-            # community between iterations, so most (u_local, c) keys are
-            # unchanged.  Re-sorting through the previous permutation is
-            # then nearly sorted -- the stable sort degenerates to a linear
-            # merge -- and any valid ordering gives bit-identical groups
-            # (sums fold in arrival order regardless).
-            done = False
-            if static_inbox and st.prev_order is not None:
-                key = st.prop_key_base + c_in
-                churn = int(np.count_nonzero(key != st.prev_key))
-                if churn * 8 <= key.size:
-                    g = key[st.prev_order]
-                    order = st.prev_order[np.argsort(g, kind="stable")]
-                    ukeys, sums = coalesce_with_order(key, order, w_in)
-                    st.out_ul = ukeys // n
-                    st.out_c = ukeys - st.out_ul * n
-                    st.out_w = sums
-                    st.prev_key = key
-                    st.prev_order = order
-                    done = True
-            if not done and k:
-                # Remap the k live community labels to compact ids, then
-                # grade the grouping strategy (dense grid / 16-bit radix /
-                # combined-key sort); ``cids`` is ascending, so compact
-                # order is label order and ``cids[...]`` restores labels.
-                dtype = np.uint16 if k <= 1 << 16 else np.int64
-                lut = np.empty(n_level, dtype=dtype)
-                lut[cids] = np.arange(k, dtype=dtype)
-                cc = lut[c_in]
-                bins = n_local * k
-                order = None
-                if 0 < bins <= max(1 << 16, 8 * ul.size):
-                    out_ul, ccu, sums = coalesce_pairs(
-                        ul, cc, n_local, k, w_in
-                    )
-                elif n_local <= 1 << 16 and k <= 1 << 16:
-                    c16 = cc if cc.dtype == np.uint16 else cc.astype(np.uint16)
-                    u16 = ul16 if ul16 is not None else ul.astype(np.uint16)
-                    p = np.argsort(c16, kind="stable")
-                    order = p[np.argsort(u16[p], kind="stable")]
-                else:
-                    order = np.argsort(
-                        ul * np.int64(k) + cc, kind="stable"
-                    )
-                if order is None:
-                    st.out_ul = out_ul
-                    st.out_c = cids[ccu]
-                    st.out_w = sums
-                    st.prev_key = None
-                    st.prev_order = None
-                else:
-                    key = (
-                        st.prop_key_base + c_in
-                        if static_inbox
-                        else ul * n + c_in
-                    )
-                    ukeys, sums = coalesce_with_order(key, order, w_in)
-                    st.out_ul = ukeys // n
-                    st.out_c = ukeys - st.out_ul * n
-                    st.out_w = sums
-                    if static_inbox:
-                        st.prev_key = key
-                        st.prev_order = order
-                done = True
-            if not done:
-                keys, sums = segment_coalesce(ul * n + c_in, w_in)
-                st.out_ul = keys // n
-                st.out_c = keys - st.out_ul * n
-                st.out_w = sums
-            starts = segment_starts(st.out_ul)
-            st.out_starts = starts
-            seg = np.zeros(st.out_ul.size, dtype=np.int32)
-            if starts.size:
-                seg[starts] = 1
-                np.cumsum(seg, out=seg)
-                seg -= 1
-            st.out_seg = seg
-            prof.add_ops(st.rank, ul.size)
+        scanned = sim.map_ranks(
+            lambda st: _rebuild_out_table(
+                st, result.inbox(st.rank), static_inbox
+            ),
+            ranks,
+            work=work,
+        )
+        for st, ops in zip(ranks, scanned):
+            prof.add_ops(st.rank, ops)
         self._fetch_sigma(sim, partition, ranks)
 
     def _fetch_sigma(self, sim, partition, ranks):
@@ -376,67 +605,24 @@ class VectorBackend:
         """
         bus = sim.bus
         prof = sim.profiler
-        n_level = partition.num_vertices
-        num_ranks = partition.num_ranks
         grouped = bus.reorder_rng is None
-        requests = []
-        for st in ranks:
-            # sigma_flags already marks distinct(out_c); add home labels.
-            flags = st.sigma_flags
-            flags[st.community] = True
-            if grouped:
-                parts = []
-                for d in range(num_ranks):
-                    wd = np.flatnonzero(flags[d::num_ranks])
-                    wd *= num_ranks
-                    wd += d
-                    parts.append(
-                        (wd, np.full(wd.size, st.rank, dtype=np.int64))
-                    )
-                requests.append(parts)
-            else:
-                want = np.flatnonzero(flags)
-                dest = partition.owner(want)
-                requester = np.full(want.size, st.rank, dtype=np.int64)
-                requests.append((dest, want, requester))
-        got = (
-            bus.exchange_grouped(requests) if grouped else bus.exchange(requests)
+        exchange = bus.exchange_grouped if grouped else bus.exchange
+        work = _level_work(ranks)
+        requests = sim.map_ranks(
+            lambda st: _sigma_request(st, partition, grouped), ranks, work=work
         )
-        replies = []
-        for st in ranks:
-            c_req, who = got.inbox(st.rank)
-            c_req = np.asarray(c_req, dtype=np.int64)
-            local = partition.to_local(c_req)
-            vals = st.tot[local] if c_req.size else np.empty(0)
-            sizes = st.size[local] if c_req.size else np.empty(0, dtype=np.int64)
-            prof.add_ops(st.rank, c_req.size)
-            if grouped:
-                who = np.asarray(who, dtype=np.int64)
-                bounds = np.searchsorted(
-                    who, np.arange(num_ranks + 1, dtype=np.int64)
-                )
-                replies.append(
-                    [
-                        (
-                            c_req[bounds[d]:bounds[d + 1]],
-                            vals[bounds[d]:bounds[d + 1]],
-                            sizes[bounds[d]:bounds[d + 1]],
-                        )
-                        for d in range(num_ranks)
-                    ]
-                )
-            else:
-                replies.append(
-                    (np.asarray(who, dtype=np.int64), c_req, vals, sizes)
-                )
-        back = (
-            bus.exchange_grouped(replies) if grouped else bus.exchange(replies)
+        got = exchange(requests)
+        answered = sim.map_ranks(
+            lambda st: _sigma_reply(st, got.inbox(st.rank), partition, grouped),
+            ranks,
+            work=work,
         )
-        for st in ranks:
-            c_rep, t_rep, s_rep = back.inbox(st.rank)
-            c_rep = np.asarray(c_rep, dtype=np.int64)
-            st.rep_tot[c_rep] = np.asarray(t_rep, dtype=np.float64)
-            st.rep_size[c_rep] = np.asarray(s_rep, dtype=np.int64)
+        for st, (_, ops) in zip(ranks, answered):
+            prof.add_ops(st.rank, ops)
+        back = exchange([reply for reply, _ in answered])
+        sim.map_ranks(
+            lambda st: _store_sigma(st, back.inbox(st.rank)), ranks, work=work
+        )
 
     # -------------------------------------------------------------- #
     # FIND_BEST (Algorithm 4 lines 6-9)
@@ -444,70 +630,15 @@ class VectorBackend:
 
     def find_best(self, sim, partition, ranks, m, resolution):
         prof = sim.profiler
-        two_m2 = 2.0 * m * m
-        best_gain: list[np.ndarray] = []
-        best_comm: list[np.ndarray] = []
         for st in ranks:
-            n_local = st.owned.size
-            mu = np.zeros(n_local, dtype=np.float64)
-            chat = st.community.copy()
-            ul, c, w = st.out_ul, st.out_c, st.out_w
-            prof.add_ops(st.rank, ul.size)
-            if n_local == 0 or ul.size == 0:
-                best_gain.append(mu)
-                best_comm.append(chat)
-                continue
-            cu = st.community[ul]
-            ku = st.strength[ul]
-            sigma = st.rep_tot[c]
-            is_home = c == cu
-            # Same expressions and evaluation order as the hash backend's
-            # _find_best -- spelled with in-place/masked ufuncs (each step
-            # still rounds identically), which halves the temporaries on the
-            # hot path.
-            np.subtract(sigma, ku, out=sigma, where=is_home)  # sigma_eff
-            w_eff = w.copy()
-            np.subtract(
-                w_eff, st.self_adj[ul], out=w_eff, where=is_home
-            )
-            np.multiply(sigma, resolution, out=sigma)
-            np.multiply(sigma, ku, out=sigma)
-            np.divide(sigma, two_m2, out=sigma)
-            np.divide(w_eff, m, out=w_eff)
-            np.subtract(w_eff, sigma, out=w_eff)
-            gain = w_eff
-
-            sigma_home_all = st.rep_tot[st.community] - st.strength
-            stay = -resolution * sigma_home_all * st.strength / two_m2
-            stay[ul[is_home]] = gain[is_home]
-
-            cand_size = st.rep_size[c]
-            home_size = st.rep_size[cu]
-            blocked = (cand_size == 1) & (home_size == 1) & (c > cu)
-
-            # Entries are sorted by (u_local, c); the first entry of a
-            # segment that attains the segment maximum is therefore the
-            # smallest community id among the maxima -- the hash path's
-            # lexsort tie-break, without the lexsort.  Masked entries are
-            # -inf, which finite gains never are, so the -inf test replaces
-            # a separately materialized feasibility mask.
-            masked = np.where(is_home, -np.inf, gain)
-            np.copyto(masked, -np.inf, where=blocked)
-            starts = st.out_starts
-            seg_max = np.maximum.reduceat(masked, starts)
-            idx = self._indices(ul.size)
-            cond = masked == seg_max[st.out_seg]
-            cond &= masked != -np.inf
-            hit = np.where(cond, idx, np.int32(ul.size))
-            first = np.minimum.reduceat(hit, starts)
-            valid = first < ul.size
-            sel = first[valid]
-            usel = ul[sel]
-            mu[usel] = gain[sel] - stay[usel]
-            chat[usel] = c[sel]
-            best_gain.append(mu)
-            best_comm.append(chat)
-        return best_gain, best_comm
+            prof.add_ops(st.rank, st.out_ul.size)
+        idx = self._indices(max((st.out_ul.size for st in ranks), default=0))
+        best = sim.map_ranks(
+            lambda st: _find_best_rank(st, m, resolution, idx),
+            ranks,
+            work=_level_work(ranks),
+        )
+        return [mu for mu, _ in best], [chat for _, chat in best]
 
     # -------------------------------------------------------------- #
     # MODULARITY (Algorithm 4 lines 17-25)
@@ -516,47 +647,23 @@ class VectorBackend:
     def compute_modularity(self, sim, partition, ranks, m, resolution):
         bus = sim.bus
         prof = sim.profiler
-        num_ranks = partition.num_ranks
-        outboxes = []
+        work = _level_work(ranks)
+        outboxes = sim.map_ranks(
+            lambda st: _modularity_outbox(st, partition), ranks, work=work
+        )
         for st in ranks:
             prof.add_ops(st.rank, st.out_ul.size)
-            if st.out_ul.size:
-                home = st.out_c == st.community[st.out_ul]
-                c_h, w_h = st.out_c[home], st.out_w[home]
-            else:
-                c_h = np.empty(0, dtype=np.int64)
-                w_h = np.empty(0, dtype=np.float64)
-            # Pregroup per destination: a handful of boolean scans beats the
-            # bus's per-record argsort, and within-destination arrival order
-            # (hence every downstream fold) is unchanged.
-            dest = partition.owner(c_h)
-            parts = []
-            for d in range(num_ranks):
-                idx = np.flatnonzero(dest == d)
-                parts.append((c_h[idx], w_h[idx]))
-            outboxes.append(parts)
         result = bus.exchange_grouped(outboxes)
-        partials = []
-        two_m = 2.0 * m
-        for st in ranks:
-            c_in, w_in = result.inbox(st.rank)
-            c_in = np.asarray(c_in, dtype=np.int64)
-            if c_in.size:
-                acc = np.bincount(
-                    partition.to_local(c_in),
-                    weights=np.asarray(w_in, dtype=np.float64),
-                    minlength=st.owned.size,
-                )
-            else:
-                acc = np.zeros(st.owned.size, dtype=np.float64)
-            prof.add_ops(st.rank, c_in.size + st.owned.size)
-            partials.append(
-                float(
-                    (acc / two_m).sum()
-                    - resolution * ((st.tot / two_m) ** 2).sum()
-                )
-            )
-        return float(bus.allreduce_sum(partials))
+        terms = sim.map_ranks(
+            lambda st: _modularity_partial(
+                st, result.inbox(st.rank), partition, m, resolution
+            ),
+            ranks,
+            work=work,
+        )
+        for st, (_, ops) in zip(ranks, terms):
+            prof.add_ops(st.rank, ops)
+        return float(bus.allreduce_sum([partial for partial, _ in terms]))
 
     # -------------------------------------------------------------- #
     # GRAPH RECONSTRUCTION (Algorithm 5)
@@ -565,49 +672,43 @@ class VectorBackend:
     def reconstruct(self, sim, partition, ranks, config):
         bus = sim.bus
         prof = sim.profiler
-        used = bus.allgather([np.unique(st.community) for st in ranks])
+        work = _level_work(ranks)
+        used = bus.allgather(
+            sim.map_ranks(lambda st: np.unique(st.community), ranks, work=work)
+        )
         new_ids = (
             np.unique(np.concatenate(used)) if used else np.empty(0, np.int64)
         )
         n_new = int(new_ids.size)
         new_partition = ModuloPartition(n_new, partition.num_ranks)
 
+        contracted = sim.map_ranks(
+            lambda st: _contraction_outbox(st, new_ids, new_partition),
+            ranks,
+            work=work,
+        )
         # Gather the per-rank renamed shards so every rank (and the driver)
         # holds the full dendrogram row -- in process mode each worker only
         # computes its own fragment locally.
-        frags = bus.side_gather(
-            [np.searchsorted(new_ids, st.community) for st in ranks]
-        )
+        frags = bus.side_gather([frag for frag, _ in contracted])
         labels = np.empty(partition.num_vertices, dtype=np.int64)
         for rank in range(partition.num_ranks):
             labels[partition.owned(rank)] = frags[rank]
 
-        outboxes = []
         for st in ranks:
             prof.add_ops(st.rank, st.out_ul.size)
-            if st.out_ul.size:
-                src_comm = np.searchsorted(new_ids, st.community[st.out_ul])
-                dst_comm = np.searchsorted(new_ids, st.out_c)
-            else:
-                src_comm = np.empty(0, dtype=np.int64)
-                dst_comm = np.empty(0, dtype=np.int64)
-            outboxes.append(
-                (new_partition.owner(dst_comm), src_comm, dst_comm, st.out_w)
-            )
-        result = bus.exchange(outboxes)
+        result = bus.exchange([outbox for _, outbox in contracted])
 
-        new_states = []
+        shards = []
         for st in ranks:
             v_in, u_in, w_in = result.inbox(st.rank)
+            w_in = np.asarray(w_in, dtype=np.float64)
             prof.add_ops(st.rank, np.asarray(v_in).size)
-            new_states.append(
-                _VectorRankState(
-                    st.rank,
-                    new_partition,
-                    np.asarray(v_in, dtype=np.int64),
-                    np.asarray(u_in, dtype=np.int64),
-                    np.asarray(w_in, dtype=np.float64),
-                    sanitizer=sim.sanitizer,
-                )
-            )
+            _check_weights(sim.sanitizer, st.rank, w_in)
+            shards.append((st.rank, new_partition, v_in, u_in, w_in))
+        new_states = sim.map_ranks(
+            lambda shard: _VectorRankState(*shard),
+            shards,
+            work=sum(int(shard[-1].size) for shard in shards),
+        )
         return new_states, new_partition, labels

@@ -29,7 +29,10 @@ Failure containment: a worker that raises reports its traceback and breaks
 the shared barrier; a worker that dies outright (``os._exit``, signal) is
 noticed by the parent, which breaks the barrier for the survivors.  Either
 way no rank can hang in a superstep and the caller gets a
-:class:`ProcessExecutionError` naming the failed rank.
+:class:`ProcessExecutionError` naming the failed rank.  Peers woken by the
+broken barrier report too, possibly first; their reports are symptoms, so
+the parent keeps collecting for a grace window and names the rank whose
+failure was a cause.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .engine import Simulation
 from .profiler import PhaseCounters, PhaseProfiler
 from .shm import (
     SHM_PREFIX,
+    BarrierBrokenError,
     ManifestReader,
     SharedMemoryBus,
     ShmManifest,
@@ -68,8 +72,19 @@ __all__ = ["ProcessExecutionError", "process_louvain"]
 _FAULT_ENV = "REPRO_PROCESS_FAULT"
 
 
+#: After the first failure report, how long the parent keeps collecting
+#: reports while it only holds bystanders' broken-barrier errors.
+_FAILURE_GRACE_S = 5.0
+
+
 class ProcessExecutionError(RuntimeError):
     """A worker rank failed; carries the rank and its traceback/exit code."""
+
+
+def _primary(errors: dict[int, tuple[bool, str]]) -> int | None:
+    """Lowest rank whose failure is a cause, not a broken-barrier symptom."""
+    causes = [rank for rank, (broken, _) in errors.items() if not broken]
+    return min(causes) if causes else None
 
 
 def _parse_fault(rank: int) -> str | None:
@@ -121,7 +136,11 @@ def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
     from ..observability.tracer import NULL_TRACER, Tracer
     from ..parallel.louvain import _louvain_core
     from ..parallel.partition import ModuloPartition
-    from ..parallel.vectorized import VectorBackend, _VectorRankState
+    from ..parallel.vectorized import (
+        VectorBackend,
+        _check_weights,
+        _VectorRankState,
+    )
 
     fault = _parse_fault(rank)
     if fault == "exit":
@@ -157,7 +176,8 @@ def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
         reader.close()
 
         partition = ModuloPartition(ctx.num_vertices, ctx.config.num_ranks)
-        state = _VectorRankState(rank, partition, v, u, w, sanitizer=sanitizer)
+        _check_weights(sanitizer, rank, w)
+        state = _VectorRankState(rank, partition, v, u, w)
         sim = Simulation(
             num_ranks=ctx.config.num_ranks,
             bus=ctx.bus,  # type: ignore[arg-type]
@@ -196,15 +216,18 @@ def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
         ctx.result_queue.put(("ok", rank, payload))
         if sink is not None:
             tracer.close()
-    except BaseException:
+    except BaseException as exc:
         # Break the barrier first so peers error out instead of hanging,
         # then report; the parent turns this into ProcessExecutionError.
+        # A broken barrier is a bystander's symptom, so it is reported as
+        # such and the parent keeps waiting for the rank that caused it.
         try:
             ctx.bus.abort()
         except Exception:
             pass
+        status = "broken" if isinstance(exc, BarrierBrokenError) else "error"
         try:
-            ctx.result_queue.put(("error", rank, traceback.format_exc()))
+            ctx.result_queue.put((status, rank, traceback.format_exc()))
         except Exception:
             pass
         if sink is not None:
@@ -362,49 +385,44 @@ def process_louvain(
         for r in range(P)
     ]
     payloads: dict[int, dict[str, Any]] = {}
-    failure: tuple[int, str] | None = None
+    #: rank -> (is a bystander's broken-barrier report, detail)
+    errors: dict[int, tuple[bool, str]] = {}
+    dead_since: dict[int, float] = {}
+    grace_end: float | None = None  # set by the first failure report
     trace_done = not tracer.enabled
     try:
         for p in procs:
             p.start()
-        while len(payloads) < P and failure is None:
+        while len(payloads) + len(errors) < P:
             trace_done = _drain_trace(trace_queue, tracer, trace_done)
-            try:
-                msg = result_queue.get(timeout=0.05)
-            except _queue.Empty:
-                msg = None
-            if msg is not None:
-                status, rank, data = msg
-                if status == "ok":
-                    payloads[rank] = data
-                else:
-                    failure = (rank, str(data))
-                continue
-            for r, p in enumerate(procs):
-                if r in payloads or p.is_alive():
-                    continue
-                # Dead without a result -- give any in-flight message a
-                # short grace window, then declare the rank lost.
-                deadline = time.monotonic() + 1.0
-                while r not in payloads and failure is None:
-                    try:
-                        status, rank, data = result_queue.get(timeout=0.05)
-                    except _queue.Empty:
-                        if time.monotonic() >= deadline:
-                            break
-                        continue
-                    if status == "ok":
-                        payloads[rank] = data
-                    else:
-                        failure = (rank, str(data))
-                if r not in payloads and failure is None:
-                    failure = (
-                        r,
-                        f"worker process exited with code {p.exitcode} "
-                        "before reporting a result",
-                    )
+            if grace_end is not None and (
+                _primary(errors) is not None or time.monotonic() >= grace_end
+            ):
                 break
-        if failure is not None:
+            try:
+                status, rank, data = result_queue.get(timeout=0.05)
+            except _queue.Empty:
+                status = None
+            if status == "ok":
+                payloads[rank] = data
+            elif status is not None:
+                errors[rank] = (status == "broken", str(data))
+            else:
+                # A rank that died without a result gets a short window for
+                # an in-flight message, then is declared lost.
+                now = time.monotonic()
+                for r, p in enumerate(procs):
+                    if r in payloads or r in errors or p.is_alive():
+                        continue
+                    if now - dead_since.setdefault(r, now) >= 1.0:
+                        errors[r] = (
+                            False,
+                            f"worker process exited with code {p.exitcode} "
+                            "before reporting a result",
+                        )
+            if errors and grace_end is None:
+                grace_end = time.monotonic() + _FAILURE_GRACE_S
+        if errors:
             bus.abort()  # free peers blocked in a superstep barrier
             for p in procs:
                 p.join(timeout=2.0)
@@ -413,9 +431,12 @@ def process_louvain(
                     p.terminate()
                     p.join(timeout=2.0)
             trace_done = _drain_trace(trace_queue, tracer, trace_done)
-            rank, detail = failure
+            rank = _primary(errors)
+            if rank is None:
+                rank = min(errors)
             raise ProcessExecutionError(
-                f"execution='process' failed: rank {rank} died.\n{detail}"
+                f"execution='process' failed: rank {rank} died.\n"
+                f"{errors[rank][1]}"
             )
 
         for p in procs:

@@ -58,6 +58,7 @@ __all__ = [
     "ManifestReader",
     "SharedMemoryBus",
     "ShmProtocolError",
+    "BarrierBrokenError",
     "leaked_segments",
 ]
 
@@ -171,6 +172,15 @@ class ShmProtocolError(RuntimeError):
     Covers a broken/aborted barrier (a peer worker died mid-superstep) and
     header divergence (peers disagree about which operation is running --
     the SPMD control flow forked, which the lockstep design forbids).
+    """
+
+
+class BarrierBrokenError(ShmProtocolError):
+    """The superstep barrier was broken under this rank.
+
+    A bystander's symptom, not a cause: some other rank (or the parent)
+    aborted the run, so process mode reports this only when no rank
+    reported a primary failure.
     """
 
 
@@ -479,7 +489,7 @@ class SharedMemoryBus:
         try:
             self._barrier.wait(timeout=self._timeout)
         except threading.BrokenBarrierError:
-            raise ShmProtocolError(
+            raise BarrierBrokenError(
                 f"rank {self.rank}: superstep barrier broken at bus op "
                 f"{self._op} (a peer worker died or the run was aborted)"
             ) from None

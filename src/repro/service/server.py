@@ -36,6 +36,12 @@ POST     ``/shutdown``            drain and stop the server
 Backpressure: when the job queue is full, POSTs return **503** with a
 ``Retry-After`` header instead of blocking the request thread or silently
 dropping the job -- the submitter decides whether to retry.
+
+Client input never reaches the generic 500 handler: every value parsed from
+a query string, header or body that is malformed yields **400**, a body
+longer than :data:`MAX_BODY_BYTES` yields **413** (unread, with the
+connection closed), and vertex ids, vertex counts and rank counts are capped
+(:data:`MAX_VERTICES`, :data:`MAX_RANKS`) before anything is allocated.
 """
 
 from __future__ import annotations
@@ -52,19 +58,84 @@ from ..observability.exporters import LatencyHistogram, prometheus_histograms
 from .jobs import QueueClosedError, QueueFullError
 from .workers import DetectionService
 
-__all__ = ["ServiceServer", "run_server", "MAX_LONGPOLL_WAIT"]
+__all__ = [
+    "ServiceServer",
+    "run_server",
+    "MAX_LONGPOLL_WAIT",
+    "MAX_BODY_BYTES",
+    "MAX_VERTICES",
+    "MAX_RANKS",
+]
 
 #: Upper bound on ``GET /jobs/<id>?wait=`` -- each long-poll parks one
 #: request thread, so waits are bounded and clients re-issue to keep waiting.
 MAX_LONGPOLL_WAIT = 30.0
+#: Largest request body read (64 MiB, a few million JSON edges); larger
+#: bodies are refused with 413 before a byte of them is read.
+MAX_BODY_BYTES = 64 << 20
+#: Vertex ids and ``num_vertices`` must stay below this: per-vertex arrays
+#: are allocated from them, so an unchecked id would size an allocation.
+MAX_VERTICES = 1 << 24
+#: Largest ``num_ranks`` a job may ask for (per-rank state is allocated).
+MAX_RANKS = 64
 
 
 class _BadRequest(ValueError):
-    """Client error -> 400 with the message in the JSON body."""
+    """Client error -> ``status`` (400) with the message in the JSON body.
+
+    ``close`` drops the connection after the reply: the request's body
+    framing is unknown or its body was left unread.
+    """
+
+    status = 400
+    close = False
+
+
+class _BadLength(_BadRequest):
+    """Unparseable ``Content-Length``: 400, and the stream cannot be reused."""
+
+    close = True
+
+
+class _PayloadTooLarge(_BadRequest):
+    """Body above :data:`MAX_BODY_BYTES` -> 413, left unread."""
+
+    status = 413
+    close = True
+
+
+def _int(value, what: str, *, lo: int | None = None, hi: int | None = None) -> int:
+    """``int(value)`` within ``[lo, hi)``, or a 400 naming ``what``."""
+    if isinstance(value, bool):
+        raise _BadRequest(f"{what} must be an integer, got {value!r}")
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _BadRequest(f"{what} must be an integer, got {value!r}") from None
+    if lo is not None and out < lo:
+        raise _BadRequest(f"{what} must be >= {lo}, got {out}")
+    if hi is not None and out >= hi:
+        raise _BadRequest(f"{what} must be < {hi}, got {out}")
+    return out
+
+
+def _number(value, what: str) -> float:
+    """A finite ``float(value)``, or a 400 naming ``what``."""
+    if isinstance(value, bool):
+        raise _BadRequest(f"{what} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _BadRequest(f"{what} must be a number, got {value!r}") from None
+    if not np.isfinite(out):
+        raise _BadRequest(f"{what} must be finite, got {value!r}")
+    return out
 
 
 def _parse_edge_rows(rows, what: str):
     """``[[u, v], [u, v, w], ...]`` -> (src, dst, weight|None) arrays."""
+    if not isinstance(rows, (list, tuple)):
+        raise _BadRequest(f"{what} must be an array of [u, v(, w)] rows")
     src, dst, wt = [], [], []
     weighted = False
     for i, row in enumerate(rows):
@@ -72,11 +143,11 @@ def _parse_edge_rows(rows, what: str):
             raise _BadRequest(
                 f"{what}[{i}]: expected [u, v] or [u, v, w], got {row!r}"
             )
-        src.append(int(row[0]))
-        dst.append(int(row[1]))
+        src.append(_int(row[0], f"{what}[{i}][0]", lo=0, hi=MAX_VERTICES))
+        dst.append(_int(row[1], f"{what}[{i}][1]", lo=0, hi=MAX_VERTICES))
         if len(row) == 3:
             weighted = True
-            wt.append(float(row[2]))
+            wt.append(_number(row[2], f"{what}[{i}][2]"))
         else:
             wt.append(1.0)
     return (
@@ -87,30 +158,39 @@ def _parse_edge_rows(rows, what: str):
 
 
 def _graph_from_body(body: bytes, content_type: str):
-    from ..graph import Graph, read_edge_list
+    from ..graph import Graph
 
     if "json" in content_type:
         try:
             doc = json.loads(body or b"{}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise _BadRequest(f"invalid JSON body: {exc}") from exc
         if not isinstance(doc, dict) or "edges" not in doc:
             raise _BadRequest('JSON graph body needs an "edges" array')
-        src, dst, wt = _parse_edge_rows(doc["edges"], "edges")
+        rows, what = doc["edges"], "edges"
         num_vertices = doc.get("num_vertices")
-        graph = Graph.from_edges(
-            src, dst, wt,
-            num_vertices=None if num_vertices is None else int(num_vertices),
-        )
-        return graph, doc
-    # Fall back to the plain-text edge-list format `repro detect` reads.
-    import io
-
+        if num_vertices is not None:
+            num_vertices = _int(
+                num_vertices, "num_vertices", lo=0, hi=MAX_VERTICES + 1
+            )
+    else:
+        # The plain-text edge-list format `repro detect` reads: `u v [w]`
+        # lines, blank lines and `#` comments skipped.
+        try:
+            text = body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _BadRequest(f"cannot parse edge-list body: {exc}") from exc
+        rows = [
+            line.split() for line in text.splitlines()
+            if line.strip() and not line.strip().startswith("#")
+        ]
+        doc, what, num_vertices = {}, "edge-list line", None
+    src, dst, wt = _parse_edge_rows(rows, what)
     try:
-        graph = read_edge_list(io.StringIO(body.decode("utf-8")))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise _BadRequest(f"cannot parse edge-list body: {exc}") from exc
-    return graph, {}
+        graph = Graph.from_edges(src, dst, wt, num_vertices=num_vertices)
+    except ValueError as exc:
+        raise _BadRequest(str(exc)) from exc
+    return graph, doc
 
 
 def _batch_from_body(body: bytes):
@@ -118,7 +198,7 @@ def _batch_from_body(body: bytes):
 
     try:
         doc = json.loads(body or b"{}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _BadRequest(f"invalid JSON body: {exc}") from exc
     if not isinstance(doc, dict) or ("add" not in doc and "remove" not in doc):
         raise _BadRequest('edge-batch body needs "add" and/or "remove" arrays')
@@ -136,14 +216,20 @@ def _batch_from_body(body: bytes):
 
 
 def _job_options(doc: dict) -> dict:
-    """Extract queue-level knobs (priority/timeout/retries) from a body."""
-    opts = {}
+    """Queue-level knobs (priority/timeout/retries) and the rank count."""
+    opts: dict = {}
     if "priority" in doc:
-        opts["priority"] = int(doc["priority"])
+        opts["priority"] = _int(doc["priority"], "priority")
     if "timeout_s" in doc:
-        opts["timeout"] = float(doc["timeout_s"])
+        opts["timeout"] = _number(doc["timeout_s"], "timeout_s")
+        if opts["timeout"] <= 0:
+            raise _BadRequest("timeout_s must be positive")
     if "max_retries" in doc:
-        opts["max_retries"] = int(doc["max_retries"])
+        opts["max_retries"] = _int(doc["max_retries"], "max_retries", lo=0)
+    if "num_ranks" in doc:
+        opts["num_ranks"] = _int(
+            doc["num_ranks"], "num_ranks", lo=1, hi=MAX_RANKS + 1
+        )
     return opts
 
 
@@ -164,6 +250,8 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(fmt, *args)
 
     def _send(self, status: int, payload, *, headers: dict | None = None) -> None:
+        if self.close_connection:
+            headers = {**(headers or {}), "Connection": "close"}
         if isinstance(payload, str):
             body = payload.encode("utf-8")
             ctype = "text/plain; charset=utf-8"
@@ -179,8 +267,26 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _BadLength(
+                f"Content-Length must be a non-negative integer, got {raw!r}"
+            )
+        if length > MAX_BODY_BYTES:
+            raise _PayloadTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         return self.rfile.read(length) if length else b""
+
+    def _bad_request(self, exc: _BadRequest) -> None:
+        if exc.close:
+            self.close_connection = True
+        self._send(exc.status, {"error": str(exc)})
 
     def _query(self) -> dict[str, str]:
         qs = parse_qs(urlparse(self.path).query)
@@ -207,7 +313,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             self._dispatch_get()
         except _BadRequest as exc:
-            self._send(400, {"error": str(exc)})
+            self._bad_request(exc)
         except KeyError as exc:
             self._send(404, {"error": str(exc.args[0]) if exc.args else "not found"})
         except Exception as exc:  # pragma: no cover - defensive
@@ -221,7 +327,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             self._dispatch_post()
         except _BadRequest as exc:
-            self._send(400, {"error": str(exc)})
+            self._bad_request(exc)
         except QueueFullError as exc:
             self.service.tracer.add_counter("service_jobs_rejected", 1)
             self._send(503, {"error": str(exc)}, headers={"Retry-After": "1"})
@@ -280,10 +386,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _get_job(self, job_id: str) -> None:
         q = self._query()
         if "wait" in q:
-            try:
-                wait = float(q["wait"])
-            except ValueError:
-                raise _BadRequest(f"wait must be a number, got {q['wait']!r}") from None
+            wait = _number(q["wait"], "wait")
             if wait < 0:
                 raise _BadRequest("wait must be >= 0")
             job = self.service.queue.wait_terminal(
@@ -295,10 +398,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _get_membership(self) -> None:
         q = self._query()
-        version = int(q["version"]) if "version" in q else None
+        version = _int(q["version"], "version") if "version" in q else None
         snap = self.service.snapshot(version)
         if "vertex" in q:
-            vertex = int(q["vertex"])
+            vertex = _int(q["vertex"], "vertex")
             community = self.service.membership(vertex, version)
             self._send(200, {
                 "version": snap.version, "vertex": vertex,
@@ -316,7 +419,7 @@ class _Handler(BaseHTTPRequestHandler):
         q = self._query()
         if "from" not in q or "to" not in q:
             raise _BadRequest("diff needs ?from=VERSION&to=VERSION")
-        diff = self.service.diff(int(q["from"]), int(q["to"]))
+        diff = self.service.diff(_int(q["from"], "from"), _int(q["to"], "to"))
         payload = diff.meta()
         payload["moved_vertices"] = diff.moved_vertices.tolist()
         payload["added_vertices"] = diff.added_vertices.tolist()
@@ -332,9 +435,9 @@ class _Handler(BaseHTTPRequestHandler):
             graph, doc = _graph_from_body(
                 self._body(), self.headers.get("Content-Type", "application/json")
             )
-            detect_opts = {
-                k: doc[k] for k in ("algorithm", "num_ranks", "seed") if k in doc
-            }
+            detect_opts = {k: doc[k] for k in ("algorithm",) if k in doc}
+            if "seed" in doc:
+                detect_opts["seed"] = _int(doc["seed"], "seed")
             job = self.service.submit_graph(
                 graph, **_job_options(doc), **detect_opts
             )
@@ -343,13 +446,11 @@ class _Handler(BaseHTTPRequestHandler):
                              "num_edges": graph.num_edges})
         elif route == "/edges":
             batch, doc = _batch_from_body(self._body())
-            update_opts = {}
-            if "num_ranks" in doc:
-                update_opts["num_ranks"] = int(doc["num_ranks"])
             base = doc.get("base_version")
             job = self.service.submit_edge_batch(
-                batch, base_version=None if base is None else int(base),
-                **_job_options(doc), **update_opts,
+                batch,
+                base_version=None if base is None else _int(base, "base_version"),
+                **_job_options(doc),
             )
             self._send(202, {"job_id": job.job_id, "state": job.state,
                              "num_additions": batch.num_additions,

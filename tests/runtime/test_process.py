@@ -10,6 +10,9 @@ are unlinked on success *and* failure, and rank payloads are never pickled.
 """
 
 import pickle
+import sys
+import time
+import traceback
 
 import numpy as np
 import pytest
@@ -197,16 +200,29 @@ class TestGoldens:
 
 class TestFailureHandling:
     def test_worker_exception_surfaces(self, lfr300, monkeypatch):
+        # The failing rank aborts the bus before it reports.  Holding its
+        # report back (the traceback formatting, inherited through fork)
+        # makes the bystanders' broken-barrier reports always arrive
+        # first; the parent must still blame rank 1, not the first report.
+        real_format_exc = traceback.format_exc
+
+        def late_format_exc(*args, **kwargs):
+            if "injected fault" in str(sys.exc_info()[1]):
+                time.sleep(1.0)
+            return real_format_exc(*args, **kwargs)
+
+        monkeypatch.setattr(traceback, "format_exc", late_format_exc)
         monkeypatch.setenv("REPRO_PROCESS_FAULT", "1:raise")
-        with pytest.raises(ProcessExecutionError, match="rank 1"):
+        with pytest.raises(ProcessExecutionError, match="rank 1 died") as info:
             _run(lfr300, "process", num_ranks=3)
+        assert "injected fault in worker rank 1" in str(info.value)
         assert leaked_segments() == []
 
     def test_worker_hard_exit_surfaces(self, lfr300, monkeypatch):
         # os._exit(3) before the first superstep: no traceback crosses the
         # queue, the exit code does -- and nobody hangs on the barrier.
         monkeypatch.setenv("REPRO_PROCESS_FAULT", "2:exit")
-        with pytest.raises(ProcessExecutionError, match="rank 2"):
+        with pytest.raises(ProcessExecutionError, match="rank 2 died"):
             _run(lfr300, "process", num_ranks=3)
         assert leaked_segments() == []
 
