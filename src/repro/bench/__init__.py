@@ -11,7 +11,8 @@ a compact ``BENCH_<label>.json`` -- feed ``repro bench report`` (markdown)
 and ``repro bench compare`` (:mod:`repro.bench.compare`, the CI perf gate).
 
 See ``benchmarks/matrices/`` for the checked-in matrices reproducing the
-paper's Figs. 7 and 9 and Table III.
+paper's Figs. 4, 7, 8, 9 and Table III (:mod:`repro.harness.experiments`
+turns their results into the paper's rows and curves).
 """
 
 from .compare import (
@@ -30,7 +31,6 @@ from .config import (
     interpolate,
     load_config,
     parse_config,
-    parse_toml_subset,
 )
 from .report import format_bench_report
 from .runner import (
@@ -54,7 +54,6 @@ __all__ = [
     "parse_config",
     "expand_cells",
     "interpolate",
-    "parse_toml_subset",
     "RepMetrics",
     "CellResult",
     "MatrixResult",

@@ -32,34 +32,27 @@ size) stay a single factor axis; an optional ``_name`` field inside names the
 value in the cell id.  An ``exclude`` list of partial factor assignments
 prunes combinations.
 
-The file format is TOML when :mod:`tomllib` is available (Python >= 3.11) and
-falls back to a small built-in parser covering the subset these files use --
-sections, dotted section names, strings, numbers, booleans, arrays and inline
-tables -- so the harness runs on 3.10 without new dependencies.  ``.json``
-files load as the same structure verbatim.
+The file format is TOML (read with :mod:`tomllib`); ``.json`` files load as
+the same structure verbatim.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import tomllib
 from dataclasses import dataclass, field
 from typing import Any, Mapping
-
-try:  # Python >= 3.11
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised on 3.10 CI only
-    tomllib = None  # type: ignore[assignment]
 
 __all__ = [
     "BenchConfigError",
     "BenchConfig",
     "Cell",
+    "read_config_file",
     "load_config",
     "parse_config",
     "expand_cells",
     "interpolate",
-    "parse_toml_subset",
 ]
 
 
@@ -105,18 +98,15 @@ class BenchConfig:
         }
 
 
+def read_config_file(path: str) -> Any:
+    """Decode a TOML file, or a JSON one when the path ends ``.json``."""
+    with open(path, "rb") as fh:
+        return json.load(fh) if path.endswith(".json") else tomllib.load(fh)
+
+
 def load_config(path: str) -> BenchConfig:
     """Load and validate a matrix file (TOML unless the path ends ``.json``)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    text = raw.decode("utf-8")
-    if path.endswith(".json"):
-        data = json.loads(text)
-    elif tomllib is not None:
-        data = tomllib.loads(text)
-    else:  # pragma: no cover - 3.10 fallback, tested directly for parity
-        data = parse_toml_subset(text)
-    return parse_config(data)
+    return parse_config(read_config_file(path))
 
 
 def parse_config(data: Mapping[str, Any]) -> BenchConfig:
@@ -247,224 +237,3 @@ def expand_cells(config: BenchConfig) -> list[Cell]:
     if not cells:
         raise BenchConfigError("matrix expands to zero cells")
     return cells
-
-
-# --------------------------------------------------------------------- #
-# Minimal TOML-subset parser (Python 3.10 fallback)
-# --------------------------------------------------------------------- #
-
-
-def parse_toml_subset(text: str) -> dict[str, Any]:
-    """Parse the TOML subset the matrix files use, without :mod:`tomllib`.
-
-    Supported: ``[section]`` / ``[a.b]`` headers, ``key = value`` pairs,
-    basic strings (``"``/``'``, with ``\\"`` and ``\\\\`` escapes), integers,
-    floats, booleans, (multiline) arrays and inline tables, ``#`` comments.
-    Unsupported TOML (dates, dotted keys in assignments, multi-line strings,
-    arrays-of-tables headers) raises :class:`BenchConfigError`.
-    """
-    root: dict[str, Any] = {}
-    current = root
-    for statement in _logical_lines(text):
-        if statement.startswith("["):
-            if statement.startswith("[["):
-                raise BenchConfigError(
-                    f"arrays of tables are not supported: {statement!r}"
-                )
-            if not statement.endswith("]"):
-                raise BenchConfigError(f"malformed section header: {statement!r}")
-            current = root
-            for part in _split_dotted(statement[1:-1].strip()):
-                current = current.setdefault(part, {})
-                if not isinstance(current, dict):
-                    raise BenchConfigError(f"section clashes with a value: {part!r}")
-        else:
-            key, value = _parse_assignment(statement)
-            current[key] = value
-    return root
-
-
-def _logical_lines(text: str):
-    """Comment-stripped statements, joining lines until brackets balance."""
-    pending = ""
-    depth = 0
-    for line in text.splitlines():
-        stripped, delta = _strip_comment(line)
-        pending = (pending + " " + stripped).strip() if pending else stripped.strip()
-        depth += delta
-        if depth < 0:
-            raise BenchConfigError(f"unbalanced brackets near: {line.strip()!r}")
-        if pending and depth == 0:
-            yield pending
-            pending = ""
-    if pending or depth != 0:
-        raise BenchConfigError(f"unterminated statement: {pending!r}")
-
-
-def _strip_comment(line: str) -> tuple[str, int]:
-    """Drop a trailing comment; count net bracket depth outside strings."""
-    out = []
-    depth = 0
-    quote = None
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if quote:
-            out.append(ch)
-            if ch == "\\" and quote == '"' and i + 1 < len(line):
-                out.append(line[i + 1])
-                i += 2
-                continue
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-            out.append(ch)
-        elif ch == "#":
-            break
-        else:
-            if ch in "[{":
-                depth += 1
-            elif ch in "]}":
-                depth -= 1
-            out.append(ch)
-        i += 1
-    if quote:
-        raise BenchConfigError(f"unterminated string in: {line.strip()!r}")
-    return "".join(out), depth
-
-
-def _split_dotted(name: str) -> list[str]:
-    parts = []
-    for part in _split_top_level(name, "."):
-        part = part.strip()
-        if part.startswith(('"', "'")):
-            part = part[1:-1]
-        if not part:
-            raise BenchConfigError(f"empty component in section name {name!r}")
-        parts.append(part)
-    return parts
-
-
-def _parse_assignment(statement: str) -> tuple[str, Any]:
-    if "=" not in statement:
-        raise BenchConfigError(f"expected 'key = value': {statement!r}")
-    key, _, rest = statement.partition("=")
-    key = key.strip()
-    if key.startswith(('"', "'")):
-        key = key[1:-1]
-    if not key or "." in key:
-        raise BenchConfigError(f"unsupported key {key!r} (dotted keys not supported)")
-    value, remainder = _parse_value(rest.strip())
-    if remainder.strip():
-        raise BenchConfigError(f"trailing content after value: {remainder!r}")
-    return key, value
-
-
-def _parse_value(text: str) -> tuple[Any, str]:
-    """Parse one value from the front of ``text``; return (value, rest)."""
-    text = text.lstrip()
-    if not text:
-        raise BenchConfigError("missing value")
-    ch = text[0]
-    if ch in "\"'":
-        return _parse_string(text)
-    if ch == "[":
-        return _parse_array(text)
-    if ch == "{":
-        return _parse_inline_table(text)
-    # Bare scalar: runs until a delimiter.
-    end = len(text)
-    for i, c in enumerate(text):
-        if c in ",]}":
-            end = i
-            break
-    token, rest = text[:end].strip(), text[end:]
-    if token == "true":
-        return True, rest
-    if token == "false":
-        return False, rest
-    try:
-        if any(c in token for c in ".eE") and not token.startswith("0x"):
-            return float(token), rest
-        return int(token, 0), rest
-    except ValueError:
-        raise BenchConfigError(f"unsupported value {token!r}") from None
-
-
-def _parse_string(text: str) -> tuple[str, str]:
-    quote = text[0]
-    out = []
-    i = 1
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and quote == '"':
-            if i + 1 >= len(text):
-                break
-            nxt = text[i + 1]
-            out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
-            i += 2
-            continue
-        if ch == quote:
-            return "".join(out), text[i + 1:]
-        out.append(ch)
-        i += 1
-    raise BenchConfigError(f"unterminated string: {text!r}")
-
-
-def _parse_array(text: str) -> tuple[list[Any], str]:
-    rest = text[1:].lstrip()
-    out: list[Any] = []
-    while True:
-        if not rest:
-            raise BenchConfigError("unterminated array")
-        if rest[0] == "]":
-            return out, rest[1:]
-        value, rest = _parse_value(rest)
-        out.append(value)
-        rest = rest.lstrip()
-        if rest.startswith(","):
-            rest = rest[1:].lstrip()
-
-
-def _parse_inline_table(text: str) -> tuple[dict[str, Any], str]:
-    rest = text[1:].lstrip()
-    out: dict[str, Any] = {}
-    while True:
-        if not rest:
-            raise BenchConfigError("unterminated inline table")
-        if rest[0] == "}":
-            return out, rest[1:]
-        if "=" not in rest:
-            raise BenchConfigError(f"expected 'key = value' in inline table: {rest!r}")
-        key, _, rest = rest.partition("=")
-        key = key.strip()
-        if key.startswith(('"', "'")):
-            key = key[1:-1]
-        value, rest = _parse_value(rest.strip())
-        out[key] = value
-        rest = rest.lstrip()
-        if rest.startswith(","):
-            rest = rest[1:].lstrip()
-
-
-def _split_top_level(text: str, sep: str) -> list[str]:
-    """Split on ``sep`` outside quotes (section-name helper)."""
-    parts = []
-    buf = []
-    quote = None
-    for ch in text:
-        if quote:
-            buf.append(ch)
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-            buf.append(ch)
-        elif ch == sep:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
-    return parts

@@ -8,7 +8,8 @@ Ten subcommands cover the library's main workflows:
   invariant sanitizer with ``--sanitize``);
 * ``generate``    -- write an LFR / R-MAT / BTER / proxy graph to disk;
 * ``info``        -- structural statistics of an edge-list file;
-* ``experiment``  -- regenerate one of the paper's tables/figures by id;
+* ``experiment``  -- regenerate one of the paper's tables/figures by id
+  (Figs. 4, 7, 8, 9 and Table III run their checked-in benchmark matrix);
 * ``report``      -- render a recorded JSONL trace as convergence and
   phase-breakdown tables (the data behind Figs. 2, 4 and 8);
 * ``trace``       -- the golden-trace regression gate (``record`` /
@@ -127,8 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     exp.add_argument(
-        "--scale", type=float, default=0.5,
-        help="proxy size multiplier (1.0 = full laptop scale)",
+        "--scale", type=float, default=None,
+        help="proxy size multiplier for table1/fig2/fig5/fig6/table4 "
+        "(default 0.5; 1.0 = full laptop scale); fig4/fig7/fig8/fig9/table3 "
+        "run their checked-in benchmark matrix at its own sizes",
     )
 
     rep = sub.add_parser(
@@ -699,8 +702,30 @@ def _cmd_info(args) -> int:
 
 def _cmd_experiment(args) -> int:
     from . import harness as hx
+    from .harness import experiments
 
-    scale = args.scale
+    matrices = experiments.FIGURE_MATRICES.get(args.id)
+    if matrices is not None:
+        paths = ", ".join(str(experiments.MATRIX_DIR / m) for m in matrices)
+        if args.scale is not None:
+            print(
+                f"--scale does not apply to {args.id}; its sizes are "
+                f"fixed by {paths}",
+                file=sys.stderr,
+            )
+            return 2
+        if not experiments.MATRIX_DIR.is_dir():
+            print(
+                f"{args.id} runs the checked-in benchmark matrices, "
+                f"but {experiments.MATRIX_DIR} does not exist (run from a "
+                "source checkout)",
+                file=sys.stderr,
+            )
+            return 2
+        print(experiments.render_figure(args.id))
+        return 0
+
+    scale = 0.5 if args.scale is None else args.scale
     if args.id == "table1":
         rows = hx.run_table1(scale=scale)
         print(hx.format_table(
@@ -715,24 +740,9 @@ def _cmd_experiment(args) -> int:
         print(hx.format_series(
             "eq7", list(range(1, len(res.predicted) + 1)), res.predicted
         ))
-    elif args.id == "fig4":
-        rows = hx.run_fig4(scale=scale)
-        for r in rows:
-            print(
-                f"{r.graph:<12s} seq={r.sequential_q[-1]:.3f} "
-                f"par={r.parallel_q[-1]:.3f} naive={r.naive_q[-1]:.3f} "
-                f"merge@1={r.first_level_merge_fraction:.1%}"
-            )
     elif args.id == "fig5":
         for r in hx.run_fig5(scale=scale):
             print(f"{r.graph}: largest seq={r.seq_largest} par={r.par_largest}")
-    elif args.id == "table3":
-        rows = hx.run_table3(scale=scale)
-        print(hx.format_table(
-            ["Graphs", "NMI", "F-measure", "NVD", "RI", "ARI", "JI"],
-            [[r.graph, *[f"{v:.4f}" for v in r.report.as_dict().values()]] for r in rows],
-            title="Table III",
-        ))
     elif args.id == "fig6":
         res = hx.run_fig6(rmat_scale=max(12, int(17 * scale)))
         for h in res.hash_names:
@@ -740,30 +750,10 @@ def _cmd_experiment(args) -> int:
                 f"{h}: avg bin {res.avg_bin[h].mean():.2f}, "
                 f"max bin {res.max_bin[h].max()}"
             )
-    elif args.id == "fig7":
-        for c in hx.run_fig7_threads(scale=scale):
-            print("threads " + hx.format_series(c.graph, c.x, c.speedup, fmt="{:.1f}"))
-        for c in hx.run_fig7_nodes(scale=scale, node_counts=[1, 4, 16, 64]):
-            print("nodes   " + hx.format_series(c.graph, c.x, c.speedup, fmt="{:.1f}"))
-    elif args.id == "fig8":
-        res = hx.run_fig8(node_counts=[32], scale=scale)
-        for i, phases in enumerate(res.outer_breakdown[0]):
-            print(f"level {i}: " + "  ".join(f"{k}={v:.3f}s" for k, v in sorted(phases.items())))
     elif args.id == "table4":
         res = hx.run_table4(nodes=64, scale=scale)
         print(f"modeled UK-2007: {res.our_time_s:.1f}s, Q={res.our_modularity:.3f}")
         print(f"({res.note})")
-    elif args.id == "fig9":
-        from .runtime import BGQ
-
-        curve = hx.run_fig9_weak(
-            node_counts=[2, 4, 8, 16], vertices_per_node=int(512 * scale) or 128,
-            machine=BGQ,
-        )
-        print(hx.format_series(
-            curve.label + " GTEPS", [p.nodes for p in curve.points],
-            [p.gteps for p in curve.points],
-        ))
     return 0
 
 

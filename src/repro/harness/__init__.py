@@ -1,4 +1,8 @@
-"""Experiment harness: runners for every paper table/figure, TEPS, tables."""
+"""Experiment harness: every paper table/figure, TEPS, tables.
+
+Figs. 4, 7, 8, 9 and Table III run their checked-in benchmark matrix; their
+projections and formatters are in :mod:`repro.harness.experiments`.
+"""
 
 from .experiments import (
     UK2007_LITERATURE,
@@ -6,16 +10,9 @@ from .experiments import (
     fig8_level_breakdown,
     paper_work_scale,
     run_fig2,
-    run_fig4,
     run_fig5,
     run_fig6,
-    run_fig7_nodes,
-    run_fig7_threads,
-    run_fig8,
-    run_fig9_strong,
-    run_fig9_weak,
     run_table1,
-    run_table3,
     run_table4,
     sequential_reference_seconds,
 )
@@ -25,18 +22,11 @@ from .teps import first_level_seconds, gteps, teps
 __all__ = [
     "run_table1",
     "run_fig2",
-    "run_fig4",
     "run_fig5",
-    "run_table3",
     "run_fig6",
-    "run_fig7_threads",
-    "run_fig7_nodes",
-    "run_fig8",
     "fig8_level_breakdown",
     "fig8_iteration_breakdown",
     "run_table4",
-    "run_fig9_weak",
-    "run_fig9_strong",
     "UK2007_LITERATURE",
     "format_table",
     "format_series",

@@ -1,16 +1,20 @@
-"""Experiment runners: one function per paper table/figure (see DESIGN.md §4).
+"""Paper tables and figures (see DESIGN.md §4).
 
-Each runner returns structured results; the benchmark files under
-``benchmarks/`` call these, print the paper-shaped rows/series, and assert
-the qualitative claims (who wins, by roughly what factor).
+Table I, Figs. 2, 5, 6 and Table IV have a runner here.  Figs. 4, 7, 8, 9
+and Table III have one source each, a matrix in ``benchmarks/matrices/``;
+``repro experiment`` (:func:`render_figure`) and the bench wrappers print it
+through the same projection, which takes its graph and curve names from the
+matrix (so tests feed it small in-memory ones).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from ..bench import MatrixResult, build_summary, load_config, run_matrix
 from ..generators import (
     BTERParams,
     LFRParams,
@@ -32,29 +36,39 @@ from ..metrics import (
 from ..parallel import (
     ModuloPartition,
     fit_schedule,
-    naive_parallel_louvain,
     parallel_louvain,
 )
-from ..runtime import BGQ, P7IH, MachineModel, model_phase_time, total_time
+from ..runtime import P7IH, MachineModel, model_phase_time, total_time
 from ..sequential import louvain as sequential_louvain
-from .teps import first_level_seconds, gteps
+from .tables import format_series, format_table
 
 __all__ = [
     "run_table1",
     "run_fig2",
-    "run_fig4",
+    "fig4_rows",
+    "format_fig4",
     "run_fig5",
-    "run_table3",
+    "table3_reports",
+    "format_table3",
     "run_fig6",
-    "run_fig7_threads",
-    "run_fig7_nodes",
-    "run_fig8",
+    "speedup_curves",
+    "format_speedups",
+    "fig8_level_breakdown",
+    "fig8_iteration_breakdown",
+    "fig8_breakdowns",
+    "format_fig8",
     "run_table4",
-    "run_fig9_weak",
-    "run_fig9_strong",
+    "weak_curves",
+    "strong_curves",
+    "format_fig9a",
+    "format_fig9bc",
     "UK2007_LITERATURE",
     "paper_work_scale",
     "sequential_reference_seconds",
+    "FIGURE_MATRICES",
+    "run_matrix_file",
+    "run_summary",
+    "render_figure",
 ]
 
 
@@ -193,49 +207,60 @@ class Fig4Row:
     first_level_merge_fraction: float  # parallel, level 0
 
 
-def run_fig4(
-    graphs: list[str] | None = None,
-    *,
-    num_ranks: int = 8,
-    seed: int = 0,
-    scale: float = 0.5,
-    naive_max_inner: int = 12,
-) -> list[Fig4Row]:
-    graphs = graphs or ["Amazon", "DBLP", "ND-Web", "YouTube", "LiveJournal", "Wikipedia", "UK-2005"]
-    rows: list[Fig4Row] = []
-    for name in graphs:
-        g = load_social_graph(name, seed=seed, scale=scale).graph
-        n0 = g.num_vertices
-        seq = sequential_louvain(g, seed=seed)
-        par = parallel_louvain(g, num_ranks=num_ranks)
-        naive = naive_parallel_louvain(
-            g, num_ranks=num_ranks, max_inner=naive_max_inner, max_levels=6
-        )
-        seq_sizes = [n0] + [
-            int(np.unique(seq.membership_at_level(i)).size)
-            for i in range(seq.num_levels)
-        ]
-        par_sizes = [n0] + [
-            int(np.unique(par.membership_at_level(i)).size)
-            for i in range(par.num_levels)
-        ]
-        merge_frac = 1.0 - (par_sizes[1] / n0 if len(par_sizes) > 1 else 1.0)
+def _factor_values(matrix: MatrixResult, factor: str) -> list[str]:
+    """Distinct display values of one factor, in cell order."""
+    return list(dict.fromkeys(c.cell.factors[factor] for c in matrix.cells))
+
+
+def _level_sizes(result) -> list[int]:
+    return [
+        int(np.unique(result.membership_at_level(i)).size)
+        for i in range(result.num_levels)
+    ]
+
+
+def fig4_rows(matrix: MatrixResult) -> list[Fig4Row]:
+    """One row per graph of a (graph x variant) matrix run with
+    ``keep_raw=True``; the variants are sequential, parallel and naive."""
+    raws = {
+        (c.cell.factors["graph"], c.cell.factors["variant"]): c.timed[0].raw
+        for c in matrix.cells
+    }
+    rows = []
+    for graph in _factor_values(matrix, "graph"):
+        seq = raws[(graph, "sequential")]
+        par = raws[(graph, "parallel")]
+        naive = raws[(graph, "naive")]
+        n0 = int(par.membership.size)
+        seq_sizes = _level_sizes(seq)
+        par_sizes = _level_sizes(par)
         rows.append(
             Fig4Row(
-                graph=name,
+                graph=graph,
                 sequential_q=list(seq.modularities),
                 parallel_q=list(par.modularities),
                 naive_q=list(naive.modularities),
-                sequential_evolution=[
-                    evolution_ratio(s, n0) for s in seq_sizes[1:]
-                ],
-                parallel_evolution=[
-                    evolution_ratio(s, n0) for s in par_sizes[1:]
-                ],
-                first_level_merge_fraction=merge_frac,
+                sequential_evolution=[evolution_ratio(s, n0) for s in seq_sizes],
+                parallel_evolution=[evolution_ratio(s, n0) for s in par_sizes],
+                first_level_merge_fraction=(
+                    1.0 - (par_sizes[0] / n0 if par_sizes else 1.0)
+                ),
             )
         )
     return rows
+
+
+def format_fig4(rows: list[Fig4Row]) -> str:
+    fmt = lambda xs: " ".join(f"{x:.3f}" for x in xs)  # noqa: E731
+    return format_table(
+        ["Graph", "Seq Q/level", "Par Q/level", "Naive Q/level", "Par evol. ratio", "1st-iter merge"],
+        [
+            [r.graph, fmt(r.sequential_q), fmt(r.parallel_q), fmt(r.naive_q),
+             fmt(r.parallel_evolution), f"{r.first_level_merge_fraction:.1%}"]
+            for r in rows
+        ],
+        title="Fig. 4: modularity per outer loop (a) and evolution ratio (b)",
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -285,39 +310,41 @@ def run_fig5(
 # --------------------------------------------------------------------- #
 
 
-@dataclass
-class Table3Row:
-    graph: str
-    report: SimilarityReport
+#: Matrix graph names -> the paper's Table III row labels.
+TABLE3_LABELS = {
+    "Amazon": "Amazon",
+    "ND-Web": "ND-Web",
+    "lfr-mu04": "LFR(mu=0.4)",
+    "lfr-mu05": "LFR(mu=0.5)",
+}
 
 
-def run_table3(
-    *, num_ranks: int = 8, seed: int = 0, scale: float = 1.0
-) -> list[Table3Row]:
-    rows: list[Table3Row] = []
-    cases: list[tuple[str, object]] = [
-        ("Amazon", None),
-        ("ND-Web", None),
-        ("LFR(mu=0.4)", 0.4),
-        ("LFR(mu=0.5)", 0.5),
-    ]
-    for name, mu in cases:
-        if mu is None:
-            g = load_social_graph(name, seed=seed, scale=scale).graph
-        else:
-            g = generate_lfr(
-                LFRParams(
-                    num_vertices=int(2000 * scale),
-                    avg_degree=16,
-                    max_degree=64,
-                    mixing=float(mu),
-                ),
-                seed=seed,
-            ).graph
-        seq = sequential_louvain(g, seed=seed)
-        par = parallel_louvain(g, num_ranks=num_ranks)
-        rows.append(Table3Row(graph=name, report=compare_partitions(seq.membership, par.membership)))
-    return rows
+def table3_reports(matrix: MatrixResult) -> dict[str, SimilarityReport]:
+    """Row label -> sequential-vs-parallel similarity, from a (graph x
+    variant) matrix run with ``keep_membership=True``."""
+    memberships = {
+        (c.cell.factors["graph"], c.cell.factors["variant"]): c.timed[0].membership
+        for c in matrix.cells
+    }
+    return {
+        TABLE3_LABELS.get(graph, graph): compare_partitions(
+            memberships[(graph, "sequential")], memberships[(graph, "parallel")]
+        )
+        for graph in _factor_values(matrix, "graph")
+    }
+
+
+def format_table3(reports: dict[str, SimilarityReport]) -> str:
+    return format_table(
+        ["Graphs", "NMI", "F-measure", "NVD", "RI", "ARI", "JI"],
+        [
+            [name, rep.nmi, rep.f_measure, rep.nvd, rep.rand_index,
+             rep.adjusted_rand_index, rep.jaccard_index]
+            for name, rep in reports.items()
+        ],
+        title="Table III: parallel-vs-sequential partition similarity",
+        float_fmt="{:.4f}",
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -386,19 +413,14 @@ def run_fig6(
     )
 
 
-def _paper_work_scale(graph_name: str, proxy_edges: int) -> float:
-    """Extrapolation factor from a proxy to the paper's dataset size."""
-    spec = SOCIAL_GRAPHS[graph_name]
-    return (spec.orig_edges * 1e6) / max(1, proxy_edges)
-
-
 def paper_work_scale(graph_name: str, proxy_edges: int) -> float:
-    """Public alias of the proxy->paper extrapolation factor.
+    """Extrapolation factor from a proxy to the paper's dataset size.
 
     The bench harness resolves ``work_scale = "paper"`` cells through this;
     ``graph_name`` must be a Table I social graph.
     """
-    return _paper_work_scale(graph_name, proxy_edges)
+    spec = SOCIAL_GRAPHS[graph_name]
+    return (spec.orig_edges * 1e6) / max(1, proxy_edges)
 
 
 # --------------------------------------------------------------------- #
@@ -406,29 +428,12 @@ def paper_work_scale(graph_name: str, proxy_edges: int) -> float:
 # --------------------------------------------------------------------- #
 
 
-@dataclass
-class SpeedupCurve:
-    graph: str
-    x: list[int]  # threads or nodes
-    speedup: list[float]
-    baseline_seconds: float
-
-
-def _modeled_total(
-    result, machine: MachineModel, threads: int, nodes: int, work_scale: float = 1.0
-) -> float:
-    return total_time(
-        result.simulation.profiler, machine,
-        threads=threads, nodes=nodes, work_scale=work_scale,
-    )
-
-
 #: Machine ops the sequential reference spends per adjacency entry per sweep
 #: (one neighbor-map find/update, no messaging).
 _SEQ_OPS_PER_ENTRY = 4.0
 
 
-def _sequential_reference_seconds(
+def sequential_reference_seconds(
     result, machine: MachineModel, work_scale: float = 1.0
 ) -> float:
     """Modeled single-thread time of the *original sequential* implementation.
@@ -446,69 +451,43 @@ def _sequential_reference_seconds(
     return ops * machine.t_op * work_scale
 
 
-def sequential_reference_seconds(
-    result, machine: MachineModel, work_scale: float = 1.0
-) -> float:
-    """Public alias: modeled Blondel single-thread baseline for Fig. 7."""
-    return _sequential_reference_seconds(result, machine, work_scale)
+def _curves(points: dict[str, list[tuple]]) -> dict[str, tuple[list, ...]]:
+    """Sort each curve's points and unzip them into per-field lists."""
+    return {
+        name: tuple(list(field) for field in zip(*sorted(pts)))
+        for name, pts in points.items()
+    }
 
 
-def run_fig7_threads(
-    graphs: list[str] | None = None,
-    *,
-    machine: MachineModel = P7IH,
-    thread_counts: list[int] | None = None,
-    seed: int = 0,
-    scale: float = 0.5,
-) -> list[SpeedupCurve]:
-    """Fig. 7a: single node, 2-32 threads; speedup vs 1 thread."""
-    graphs = graphs or ["LiveJournal", "Wikipedia", "UK-2005", "Twitter"]
-    thread_counts = thread_counts or [2, 4, 8, 16, 32]
-    curves = []
-    for name in graphs:
-        g = load_social_graph(name, seed=seed, scale=scale).graph
-        ws = _paper_work_scale(name, g.num_edges)
-        result = parallel_louvain(g, num_ranks=1)
-        base = _sequential_reference_seconds(result, machine, ws)
-        speedups = [
-            base / _modeled_total(result, machine, threads=t, nodes=1, work_scale=ws)
-            for t in thread_counts
-        ]
-        curves.append(
-            SpeedupCurve(graph=name, x=thread_counts, speedup=speedups, baseline_seconds=base)
-        )
-    return curves
+def speedup_curves(summary: dict, axis: str) -> dict[str, tuple[list, list]]:
+    """Graph -> (``axis`` values, speedups) from a (graph x ``axis``)
+    summary, against the modeled sequential reference of the graph's
+    smallest-``axis`` cell."""
+    points: dict[str, list[tuple]] = {}
+    for cell in summary["cells"].values():
+        points.setdefault(cell["factors"]["graph"], []).append((
+            int(cell["factors"][axis]),
+            cell["metrics"]["seq_reference_s"]["median"],
+            cell["metrics"]["modeled_s"]["median"],
+        ))
+    return {
+        graph: (x, [ref[0] / t for t in modeled])
+        for graph, (x, ref, modeled) in _curves(points).items()
+    }
 
 
-def run_fig7_nodes(
-    graphs: list[str] | None = None,
-    *,
-    machine: MachineModel = P7IH,
-    node_counts: list[int] | None = None,
-    seed: int = 0,
-    scale: float = 0.5,
-) -> list[SpeedupCurve]:
-    """Fig. 7b/c: 1-64 nodes (32 threads each); speedup vs 1 thread 1 node."""
-    graphs = graphs or ["LiveJournal", "Wikipedia", "UK-2005", "Twitter"]
-    node_counts = node_counts or [1, 2, 4, 8, 16, 32, 64]
-    curves = []
-    for name in graphs:
-        g = load_social_graph(name, seed=seed, scale=scale).graph
-        ws = _paper_work_scale(name, g.num_edges)
-        base_result = parallel_louvain(g, num_ranks=1)
-        base = _sequential_reference_seconds(base_result, machine, ws)
-        speedups = []
-        for nodes in node_counts:
-            result = parallel_louvain(g, num_ranks=nodes)
-            t = _modeled_total(
-                result, machine,
-                threads=machine.threads_per_node, nodes=nodes, work_scale=ws,
-            )
-            speedups.append(base / t)
-        curves.append(
-            SpeedupCurve(graph=name, x=node_counts, speedup=speedups, baseline_seconds=base)
-        )
-    return curves
+#: Fig. 7 panel title per speedup axis.
+_FIG7_TITLES = {
+    "threads": "Fig. 7a: thread speedup on one P7-IH node (vs 1-thread sequential)",
+    "nodes": "Fig. 7b/c: node speedup, 32 threads/node (vs 1-thread sequential)",
+}
+
+
+def format_speedups(curves, axis: str) -> str:
+    return "\n".join([_FIG7_TITLES[axis]] + [
+        "  " + format_series(graph, x, speedup, fmt="{:.1f}")
+        for graph, (x, speedup) in curves.items()
+    ])
 
 
 # --------------------------------------------------------------------- #
@@ -571,37 +550,42 @@ def fig8_iteration_breakdown(
     return inner_iters
 
 
-def run_fig8(
-    *,
-    graph_name: str = "UK-2007",
-    node_counts: list[int] | None = None,
-    machine: MachineModel = P7IH,
-    seed: int = 0,
-    scale: float = 1.0,
-) -> Fig8Result:
-    node_counts = node_counts or [8, 16, 32]
-    g = load_social_graph(graph_name, seed=seed, scale=scale).graph
-    ws = _paper_work_scale(graph_name, g.num_edges)
-    outer_all, inner_all, mods = [], [], []
-    for nodes in node_counts:
-        result = parallel_louvain(g, num_ranks=nodes)
-        mods.append(result.final_modularity)
-        outer_all.append(
-            fig8_level_breakdown(
-                result, machine=machine, nodes=nodes, work_scale=ws
-            )
+def fig8_breakdowns(matrix: MatrixResult) -> Fig8Result:
+    """Both Fig. 8 breakdowns per node count, from a ``nodes`` sweep run
+    with ``keep_raw=True``."""
+    res = Fig8Result([], [], [], [])
+    for cell in sorted(matrix.cells, key=lambda c: int(c.cell.params["nodes"])):
+        rep, nodes = cell.timed[0], int(cell.cell.params["nodes"])
+        ws = 1.0 if rep.work_scale is None else rep.work_scale
+        res.node_counts.append(nodes)
+        res.outer_breakdown.append(
+            fig8_level_breakdown(rep.raw, nodes=nodes, work_scale=ws)
         )
-        inner_all.append(
-            fig8_iteration_breakdown(
-                result, machine=machine, nodes=nodes, work_scale=ws
-            )
+        res.inner_breakdown.append(
+            fig8_iteration_breakdown(rep.raw, nodes=nodes, work_scale=ws)
         )
-    return Fig8Result(
-        node_counts=node_counts,
-        outer_breakdown=outer_all,
-        inner_breakdown=inner_all,
-        modularities=mods,
+        res.modularities.append(rep.modularity)
+    return res
+
+
+def format_fig8(res: Fig8Result) -> str:
+    lines = ["Fig. 8a: outer-loop breakdown (modeled seconds, UK-2007 proxy)"]
+    for nodes, levels in zip(res.node_counts, res.outer_breakdown):
+        lines.append(f"  {nodes} nodes:")
+        for i, phases in enumerate(levels):
+            row = "  ".join(f"{k}={v:.3f}s" for k, v in sorted(phases.items()))
+            lines.append(f"    level {i}: {row}")
+    lines.append(
+        "Fig. 8b: inner-loop breakdown, first outer loop "
+        f"({res.node_counts[-1]} nodes)"
     )
+    for i, phases in enumerate(res.inner_breakdown[-1][:8]):
+        row = "  ".join(f"{k}={v:.4f}s" for k, v in sorted(phases.items()))
+        lines.append(f"    iter {i + 1}: {row}")
+    lines.append(
+        f"  modularity per node count: {[round(q, 3) for q in res.modularities]}"
+    )
+    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------- #
@@ -635,7 +619,7 @@ def run_table4(
     *, nodes: int = 128, machine: MachineModel = P7IH, seed: int = 0, scale: float = 1.0
 ) -> Table4Result:
     g = load_social_graph("UK-2007", seed=seed, scale=scale).graph
-    ws = _paper_work_scale("UK-2007", g.num_edges)
+    ws = paper_work_scale("UK-2007", g.num_edges)
     result = parallel_louvain(g, num_ranks=nodes)
     secs = total_time(
         result.simulation.profiler, machine,
@@ -658,114 +642,109 @@ def run_table4(
 # --------------------------------------------------------------------- #
 
 
-@dataclass
-class ScalingPoint:
-    nodes: int
-    edges: int
-    gteps: float
-    first_level_seconds: float
-    modularity: float
+def weak_curves(summary: dict) -> dict[str, tuple[list, ...]]:
+    """Curve -> (nodes, GTEPS, modularity) from a weak-scaling summary whose
+    ``point`` factor names each cell ``<curve>/n<nodes>``."""
+    points: dict[str, list[tuple]] = {}
+    for cell in summary["cells"].values():
+        curve, _, node_tag = cell["factors"]["point"].partition("/")
+        points.setdefault(curve, []).append((
+            int(node_tag.lstrip("n")),
+            cell["metrics"]["gteps"]["median"],
+            cell["metrics"]["modularity"]["median"],
+        ))
+    return _curves(points)
 
 
-@dataclass
-class ScalingCurve:
-    label: str
-    machine: str
-    points: list[ScalingPoint]
-
-
-def run_fig9_weak(
-    *,
-    node_counts: list[int] | None = None,
-    vertices_per_node: int = 512,
-    machine: MachineModel = BGQ,
-    generator: str = "rmat",
-    bter_rho: float = 0.6,
-    seed: int = 0,
-) -> ScalingCurve:
-    """Weak scaling: fixed per-node workload, growing node count.
-
-    Paper: R-MAT 2^20 vertices / 2^24 edges per node on BG/Q; BTER 2^22
-    vertices per node (avg degree 32) on P7-IH with GCC in {0.15, 0.55}.
-    Scaled to laptop sizes; the claim under test is that GTEPS grows
-    ~linearly with nodes.
-    """
-    node_counts = node_counts or [2, 4, 8, 16, 32]
-    # Paper per-node workload: R-MAT 2^24 edges/node (BG/Q); BTER 2^22
-    # vertices x avg degree 32 / 2 = 2^26 edges/node (P7-IH).
-    paper_edges_per_node = 2**24 if generator == "rmat" else 2**26
-    points = []
-    for nodes in node_counts:
-        n = vertices_per_node * nodes
-        if generator == "rmat":
-            scale_exp = max(4, int(round(np.log2(n))))
-            g = generate_rmat(RMATParams(scale=scale_exp, edge_factor=16), seed=seed)
-        elif generator == "bter":
-            g = generate_bter(
-                BTERParams(num_vertices=n, avg_degree=32, max_degree=256, rho=bter_rho),
-                seed=seed,
-            ).graph
-        else:
-            raise ValueError(f"unknown generator {generator!r}")
-        ws = (paper_edges_per_node * nodes) / max(1, g.num_edges)
-        scaled_edges = int(g.num_edges * ws)
-        result = parallel_louvain(g, num_ranks=nodes, max_levels=2)
-        points.append(
-            ScalingPoint(
-                nodes=nodes,
-                edges=scaled_edges,
-                gteps=gteps(
-                    scaled_edges, result, machine,
-                    threads=machine.threads_per_node, nodes=nodes, work_scale=ws,
-                ),
-                first_level_seconds=first_level_seconds(
-                    result, machine,
-                    threads=machine.threads_per_node, nodes=nodes, work_scale=ws,
-                ),
-                modularity=result.final_modularity,
-            )
+def strong_curves(summary: dict) -> dict[str, tuple[list, ...]]:
+    """Workload -> (nodes, GTEPS) from a (workload x nodes) summary."""
+    points: dict[str, list[tuple]] = {}
+    for cell in summary["cells"].values():
+        points.setdefault(cell["factors"]["workload"], []).append(
+            (int(cell["factors"]["nodes"]), cell["metrics"]["gteps"]["median"])
         )
-    label = f"weak-{generator}" + (f"-rho{bter_rho}" if generator == "bter" else "")
-    return ScalingCurve(label=label, machine=machine.name, points=points)
+    return _curves(points)
 
 
-def run_fig9_strong(
-    *,
-    node_counts: list[int] | None = None,
-    machine: MachineModel = P7IH,
-    graph_name: str | None = "UK-2007",
-    rmat_scale: int | None = None,
-    seed: int = 0,
-    scale: float = 1.0,
-) -> ScalingCurve:
-    """Strong scaling: fixed graph, growing node count."""
-    node_counts = node_counts or [2, 4, 8, 16, 32, 64]
-    if rmat_scale is not None:
-        g = generate_rmat(RMATParams(scale=rmat_scale, edge_factor=16), seed=seed)
-        label = f"strong-rmat{rmat_scale}"
-        # Paper strong-scaling R-MAT: scale 30 (BG/Q) = 2^34 edges.
-        ws = float(2**34) / max(1, g.num_edges)
-    else:
-        g = load_social_graph(graph_name, seed=seed, scale=scale).graph
-        label = f"strong-{graph_name}"
-        ws = _paper_work_scale(graph_name, g.num_edges)
-    scaled_edges = int(g.num_edges * ws)
-    points = []
-    for nodes in node_counts:
-        result = parallel_louvain(g, num_ranks=nodes, max_levels=2)
-        points.append(
-            ScalingPoint(
-                nodes=nodes,
-                edges=scaled_edges,
-                gteps=gteps(
-                    scaled_edges, result, machine,
-                    threads=machine.threads_per_node, nodes=nodes, work_scale=ws,
-                ),
-                first_level_seconds=first_level_seconds(
-                    result, machine,
-                    threads=machine.threads_per_node, nodes=nodes, work_scale=ws,
-                ),
-                modularity=result.final_modularity,
-            )
+def format_fig9a(curves) -> str:
+    lines = ["Fig. 9a: weak scaling"] + [
+        "  " + format_series(f"{name} GTEPS", nodes, gteps, fmt="{:.4f}")
+        for name, (nodes, gteps, _mods) in curves.items()
+    ]
+    if "bter-lo" in curves and "bter-hi" in curves:
+        lines.append(
+            f"  BTER modularity: GCC~0.15 -> {curves['bter-lo'][2][-1]:.3f}, "
+            f"GCC~0.55 -> {curves['bter-hi'][2][-1]:.3f} (paper: 0.693 and 0.926)"
         )
-    return ScalingCurve(label=label, machine=machine.name, points=points)
+    return "\n".join(lines)
+
+
+#: fig9bc_strong.toml workload -> (panel title, series name).
+_STRONG_PANELS = {
+    "uk2007": ("Fig. 9b: strong scaling, UK-2007 (3.78G edges extrapolated)",
+               "UK-2007 GTEPS"),
+    "rmat15": ("Fig. 9c: strong scaling, R-MAT (scale-30 workload extrapolated)",
+               "R-MAT GTEPS"),
+}
+
+
+def format_fig9bc(curves) -> str:
+    lines = []
+    for workload, (nodes, gteps) in curves.items():
+        title, series = _STRONG_PANELS.get(
+            workload, (f"Fig. 9: strong scaling, {workload}", f"{workload} GTEPS")
+        )
+        lines += [title, "  " + format_series(series, nodes, gteps, fmt="{:.4f}")]
+    return "\n".join(lines)
+
+
+# --------------------------------------------------------------------- #
+# Matrix-backed figures: the checked-in files and ``repro experiment``
+# --------------------------------------------------------------------- #
+
+#: The source checkout's ``benchmarks/matrices`` directory.
+MATRIX_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "matrices"
+
+#: ``repro experiment`` id -> the matrix files it runs, in print order.
+FIGURE_MATRICES: dict[str, tuple[str, ...]] = {
+    "fig4": ("fig4_convergence.toml",),
+    "table3": ("table3_quality.toml",),
+    "fig7": ("fig7a_threads.toml", "fig7bc_nodes.toml"),
+    "fig8": ("fig8_breakdown.toml",),
+    "fig9": ("fig9a_weak.toml", "fig9bc_strong.toml"),
+}
+
+
+def run_matrix_file(name: str, **kwargs) -> MatrixResult:
+    """Run one checked-in matrix; ``kwargs`` go to :func:`run_matrix`."""
+    return run_matrix(load_config(str(MATRIX_DIR / name)), **kwargs)
+
+
+def run_summary(name: str) -> dict:
+    """Run one checked-in matrix and reduce it to its BENCH summary."""
+    return build_summary(run_matrix_file(name))
+
+
+def render_figure(figure: str) -> str:
+    """Run ``figure``'s :data:`FIGURE_MATRICES` and return its paper text."""
+    if figure == "fig4":
+        matrix = run_matrix_file("fig4_convergence.toml", keep_raw=True)
+        return format_fig4(fig4_rows(matrix))
+    if figure == "table3":
+        matrix = run_matrix_file("table3_quality.toml", keep_membership=True)
+        return format_table3(table3_reports(matrix))
+    if figure == "fig7":
+        return "\n".join(
+            format_speedups(speedup_curves(run_summary(name), axis), axis)
+            for name, axis in zip(FIGURE_MATRICES["fig7"], ("threads", "nodes"))
+        )
+    if figure == "fig8":
+        matrix = run_matrix_file("fig8_breakdown.toml", keep_raw=True)
+        return format_fig8(fig8_breakdowns(matrix))
+    if figure == "fig9":
+        weak, strong = FIGURE_MATRICES["fig9"]
+        return (
+            format_fig9a(weak_curves(run_summary(weak))) + "\n"
+            + format_fig9bc(strong_curves(run_summary(strong)))
+        )
+    raise KeyError(f"no matrix-backed figure {figure!r}")

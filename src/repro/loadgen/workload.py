@@ -44,24 +44,17 @@ the client -- and measures what the service does *under offered load*;
 **closed-loop** runs N clients that each wait for their response (plus think
 time) before the next request, and measures sustainable round-trip behavior.
 
-The file format reuses the benchmark matrix loader: TOML via :mod:`tomllib`
-on Python >= 3.11, falling back to the same built-in subset parser, and
-``.json`` files load verbatim.
+The file format reuses the benchmark matrix loader: TOML via :mod:`tomllib`,
+and ``.json`` files load verbatim.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
-from ..bench.config import parse_toml_subset
-
-try:  # Python >= 3.11
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised on 3.10 CI only
-    tomllib = None  # type: ignore[assignment]
+from ..bench.config import read_config_file
 
 __all__ = [
     "LoadConfigError",
@@ -154,15 +147,7 @@ class Scenario:
 
 def load_scenario(path: str) -> Scenario:
     """Load and validate a scenario file (TOML unless the path ends .json)."""
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    if path.endswith(".json"):
-        data = json.loads(text)
-    elif tomllib is not None:
-        data = tomllib.loads(text)
-    else:  # pragma: no cover - 3.10 fallback, tested for parity in bench
-        data = parse_toml_subset(text)
-    return parse_scenario(data)
+    return parse_scenario(read_config_file(path))
 
 
 def parse_scenario(data: Mapping[str, Any]) -> Scenario:

@@ -55,7 +55,10 @@ from .shm import (
     BarrierBrokenError,
     ManifestReader,
     SharedMemoryBus,
+    ShmBlock,
     ShmManifest,
+    _unlink_quiet,
+    leaked_segments,
     publish_arrays,
 )
 
@@ -364,33 +367,41 @@ def process_louvain(
         q0 = 0.0
 
     prefix = f"{SHM_PREFIX}{os.getpid():x}x{os.urandom(4).hex()}"
-    manifest, manifest_segments = publish_arrays(prefix, groups)
-    bus = SharedMemoryBus.create(P, prefix, mp_ctx)
-    trace_queue = mp_ctx.Queue()
-    result_queue = mp_ctx.Queue()
-    ctx = _WorkerCtx(
-        bus=bus,
-        manifest=manifest,
-        config=config,
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
-        level0_q=q0,
-        sanitize=sanitize,
-        tracing=tracer.enabled,
-        trace_queue=trace_queue,
-        result_queue=result_queue,
-    )
-    procs = [
-        mp_ctx.Process(target=_worker_main, args=(ctx, r), daemon=True)
-        for r in range(P)
-    ]
     payloads: dict[int, dict[str, Any]] = {}
     #: rank -> (is a bystander's broken-barrier report, detail)
     errors: dict[int, tuple[bool, str]] = {}
     dead_since: dict[int, float] = {}
     grace_end: float | None = None  # set by the first failure report
     trace_done = not tracer.enabled
+    # Everything from the first segment on is inside the try: setup can fail
+    # part-way (a partial publish, a half-built bus) and still leave
+    # /dev/shm clean.
+    manifest_segments: list[ShmBlock] = []
+    bus: SharedMemoryBus | None = None
+    queues: list = []
+    procs: list = []
     try:
+        manifest, manifest_segments = publish_arrays(prefix, groups)
+        bus = SharedMemoryBus.create(P, prefix, mp_ctx)
+        trace_queue = mp_ctx.Queue()
+        result_queue = mp_ctx.Queue()
+        queues = [trace_queue, result_queue]
+        ctx = _WorkerCtx(
+            bus=bus,
+            manifest=manifest,
+            config=config,
+            num_vertices=graph.num_vertices,
+            num_edges=graph.num_edges,
+            level0_q=q0,
+            sanitize=sanitize,
+            tracing=tracer.enabled,
+            trace_queue=trace_queue,
+            result_queue=result_queue,
+        )
+        procs = [
+            mp_ctx.Process(target=_worker_main, args=(ctx, r), daemon=True)
+            for r in range(P)
+        ]
         for p in procs:
             p.start()
         while len(payloads) + len(errors) < P:
@@ -456,13 +467,12 @@ def process_louvain(
                 seg.close()
             except BufferError:  # pragma: no cover - stray view
                 pass
-            try:
-                seg.unlink()
-            except FileNotFoundError:
-                pass
-        bus.cleanup()
-        trace_queue.close()
-        result_queue.close()
+        if bus is not None:
+            bus.cleanup()
+        for name in leaked_segments(prefix):
+            _unlink_quiet(name)
+        for q in queues:
+            q.close()
 
     workers = [payloads[r] for r in range(P)]
     profiler = PhaseProfiler(P, tracer=tracer if tracer.enabled else None)

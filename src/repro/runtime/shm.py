@@ -97,6 +97,9 @@ class ShmBlock:
         try:
             os.ftruncate(fd, size)
             mm = mmap.mmap(fd, size)
+        except BaseException:
+            os.unlink(path)
+            raise
         finally:
             os.close(fd)
         return ShmBlock(name, mm, size)

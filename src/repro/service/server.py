@@ -50,11 +50,13 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import get_args
 from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 
 from ..observability.exporters import LatencyHistogram, prometheus_histograms
+from ..parallel.driver import Algorithm
 from .jobs import QueueClosedError, QueueFullError
 from .workers import DetectionService
 
@@ -78,6 +80,8 @@ MAX_BODY_BYTES = 64 << 20
 MAX_VERTICES = 1 << 24
 #: Largest ``num_ranks`` a job may ask for (per-rank state is allocated).
 MAX_RANKS = 64
+#: The ``algorithm`` values ``POST /graph`` accepts.
+_ALGORITHMS = get_args(Algorithm)
 
 
 class _BadRequest(ValueError):
@@ -264,7 +268,8 @@ class _Handler(BaseHTTPRequestHandler):
         for k, v in (headers or {}).items():
             self.send_header(k, v)
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
     def _body(self) -> bytes:
         raw = self.headers.get("Content-Length") or "0"
@@ -359,6 +364,15 @@ class _Handler(BaseHTTPRequestHandler):
             self.server.observe_request("DELETE", self._endpoint,
                                         time.perf_counter() - t0)
 
+    def _method_not_allowed(self) -> None:
+        """A method the API does not route: 405, not http.server's 501."""
+        self._send(
+            405, {"error": f"method {self.command} not allowed"},
+            headers={"Allow": "GET, POST, DELETE"},
+        )
+
+    do_HEAD = do_PUT = do_PATCH = do_OPTIONS = _method_not_allowed
+
     # ---------------------------------------------------------------- #
     # GET routes
     # ---------------------------------------------------------------- #
@@ -436,6 +450,11 @@ class _Handler(BaseHTTPRequestHandler):
                 self._body(), self.headers.get("Content-Type", "application/json")
             )
             detect_opts = {k: doc[k] for k in ("algorithm",) if k in doc}
+            if detect_opts.get("algorithm", "parallel") not in _ALGORITHMS:
+                raise _BadRequest(
+                    f"algorithm must be one of {list(_ALGORITHMS)}, "
+                    f"got {doc['algorithm']!r}"
+                )
             if "seed" in doc:
                 detect_opts["seed"] = _int(doc["seed"], "seed")
             job = self.service.submit_graph(

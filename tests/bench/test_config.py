@@ -10,7 +10,6 @@ from repro.bench import (
     interpolate,
     load_config,
     parse_config,
-    parse_toml_subset,
 )
 
 MATRICES = Path(__file__).parents[2] / "benchmarks" / "matrices"
@@ -166,45 +165,6 @@ class TestExpandCells:
         })
         with pytest.raises(BenchConfigError, match="zero cells"):
             expand_cells(config)
-
-
-class TestTomlSubsetParser:
-    """The 3.10 fallback must agree with tomllib on every checked-in matrix."""
-
-    @pytest.mark.parametrize(
-        "path", sorted(MATRICES.glob("*.toml")), ids=lambda p: p.stem
-    )
-    def test_parity_with_tomllib(self, path):
-        tomllib = pytest.importorskip("tomllib")
-        text = path.read_text()
-        assert parse_toml_subset(text) == tomllib.loads(text)
-
-    def test_scalars_and_inline_tables(self):
-        data = parse_toml_subset(
-            'a = 1\nb = 2.5\nc = true\nd = "s"\n'
-            "e = [1, 2]\nf = { x = 1, _name = \"n\" }\n"
-            "[sec.sub]\ng = 0x10\n"
-        )
-        assert data["a"] == 1 and data["b"] == 2.5 and data["c"] is True
-        assert data["e"] == [1, 2]
-        assert data["f"] == {"x": 1, "_name": "n"}
-        assert data["sec"]["sub"]["g"] == 16
-
-    def test_multiline_array(self):
-        data = parse_toml_subset("a = [\n  1,  # comment\n  2,\n]\n")
-        assert data["a"] == [1, 2]
-
-    def test_array_of_tables_unsupported(self):
-        with pytest.raises(BenchConfigError, match="arrays of tables"):
-            parse_toml_subset("[[exclude]]\nranks = 1\n")
-
-    def test_dotted_assignment_unsupported(self):
-        with pytest.raises(BenchConfigError, match="dotted"):
-            parse_toml_subset("a.b = 1\n")
-
-    def test_unterminated_string_rejected(self):
-        with pytest.raises(BenchConfigError, match="unterminated"):
-            parse_toml_subset('a = "oops\n')
 
 
 class TestCheckedInMatrices:

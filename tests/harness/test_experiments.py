@@ -1,31 +1,53 @@
-"""Smoke tests for every experiment runner (tiny configurations).
+"""Smoke tests for every experiment runner and figure projection.
 
 The benchmarks run paper-sized configurations; these tests only assert that
 each runner produces structurally valid, qualitatively sane output quickly.
+The matrix-backed figures (Figs. 4, 7, 8, 9, Table III) run their
+projections over small in-memory matrices shaped like the checked-in ones.
 """
 
-import numpy as np
+from types import SimpleNamespace
+
 import pytest
 
+from repro.bench import build_summary, parse_config, run_matrix, runner
 from repro.harness import (
     UK2007_LITERATURE,
     first_level_seconds,
     gteps,
     run_fig2,
-    run_fig4,
     run_fig5,
     run_fig6,
-    run_fig7_nodes,
-    run_fig7_threads,
-    run_fig8,
-    run_fig9_strong,
-    run_fig9_weak,
     run_table1,
-    run_table3,
     run_table4,
 )
+from repro.harness import experiments as hx
 from repro.parallel import parallel_louvain
-from repro.runtime import BGQ, P7IH
+from repro.runtime import P7IH
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _no_peak_memory_sampling():
+    """The projections never read peak memory; the runner's tracemalloc
+    repetition would make these tiny matrices 5-25x slower."""
+    stub = SimpleNamespace(
+        start=lambda: None, stop=lambda: None, get_traced_memory=lambda: (0, 0)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "tracemalloc", stub)
+        yield
+
+
+def _run(factors: dict, cell: dict, graphs: dict, **keep):
+    """Run a one-repetition in-memory matrix shaped like a checked-in one."""
+    return run_matrix(parse_config({
+        "label": "tiny", "repetitions": 1, "warmup": 0,
+        "factors": factors, "cell": cell, "graphs": graphs,
+    }), **keep)
+
+
+def _social(*names: str, scale: float) -> dict:
+    return {n: {"family": "social", "name": n, "scale": scale} for n in names}
 
 
 class TestTable1:
@@ -55,8 +77,14 @@ class TestFig2:
 class TestFig4:
     @pytest.fixture(scope="class")
     def rows(self):
-        return run_fig4(["Amazon", "Wikipedia"], num_ranks=4, scale=0.2,
-                        naive_max_inner=6)
+        naive = {"_name": "naive", "variant": "naive", "max_inner": 6,
+                 "max_levels": 6}
+        return hx.fig4_rows(_run(
+            {"graph": ["Amazon", "Wikipedia"],
+             "variant": ["sequential", "parallel", naive]},
+            {"graph": "{graph}", "ranks": 4},
+            _social("Amazon", "Wikipedia", scale=0.2), keep_raw=True,
+        ))
 
     def test_heuristic_tracks_sequential(self, rows):
         for r in rows:
@@ -72,6 +100,7 @@ class TestFig4:
             assert all(a >= b - 1e-9 for a, b in zip(ev, ev[1:]))
 
     def test_first_level_merges_most_vertices(self, rows):
+        assert "Wikipedia" in hx.format_fig4(rows)
         for r in rows:
             assert r.first_level_merge_fraction > 0.5
 
@@ -88,19 +117,27 @@ class TestFig5:
 
 class TestTable3:
     def test_high_similarity_rows(self):
-        rows = run_table3(num_ranks=4, scale=0.2)
-        assert [r.graph for r in rows] == [
+        graphs = _social("Amazon", "ND-Web", scale=0.2)
+        for name, mu in (("lfr-mu04", 0.4), ("lfr-mu05", 0.5)):
+            graphs[name] = {"family": "lfr", "num_vertices": 400,
+                            "avg_degree": 16, "max_degree": 64, "mixing": mu}
+        reports = hx.table3_reports(_run(
+            {"graph": list(graphs), "variant": ["sequential", "parallel"]},
+            {"graph": "{graph}", "ranks": 4}, graphs, keep_membership=True,
+        ))
+        assert list(reports) == [
             "Amazon", "ND-Web", "LFR(mu=0.4)", "LFR(mu=0.5)"
         ]
-        for r in rows:
+        for name, rep in reports.items():
             # Tiny-scale smoke thresholds; the bench asserts tighter values
             # at full proxy scale (see benchmarks/bench_table3_quality.py).
             # LFR(mu=0.5) at n=400 is near-structureless, so only the pair-
             # counting metric is meaningful there.
-            assert r.report.rand_index > 0.8
-            if r.graph != "LFR(mu=0.5)":
-                assert r.report.nmi > 0.5
-                assert r.report.nvd < 0.45
+            assert rep.rand_index > 0.8
+            if name != "LFR(mu=0.5)":
+                assert rep.nmi > 0.5
+                assert rep.nvd < 0.45
+        assert "LFR(mu=0.5)" in hx.format_table3(reports)
 
 
 class TestFig6:
@@ -123,45 +160,62 @@ class TestFig6:
 
 
 class TestFig7:
+    @staticmethod
+    def _speedups(axis: str, values: list[int], cell: dict) -> list[float]:
+        summary = build_summary(_run(
+            {"graph": ["LiveJournal"], axis: values},
+            {"graph": "{graph}", "machine": "p7ih", "work_scale": "paper",
+             **cell},
+            _social("LiveJournal", scale=0.3),
+        ))
+        curves = hx.speedup_curves(summary, axis)
+        assert "LiveJournal: " in hx.format_speedups(curves, axis)
+        x, speedup = curves["LiveJournal"]
+        assert x == values
+        return speedup
+
     def test_thread_speedup_monotone(self):
-        curves = run_fig7_threads(
-            ["LiveJournal"], thread_counts=[2, 8, 32], scale=0.3
-        )
-        c = curves[0]
-        assert c.speedup == sorted(c.speedup)
-        assert c.speedup[-1] < 32  # sublinear
-        assert c.speedup[-1] > 2 * c.speedup[0] / 2  # grows with threads
+        speedup = self._speedups("threads", [2, 8, 32], {"ranks": 1, "nodes": 1})
+        assert speedup == sorted(speedup)
+        assert speedup[-1] < 32  # sublinear
+        assert speedup[-1] > speedup[0]  # grows with threads
 
     def test_node_speedup_grows(self):
         # The paper's Fig. 7b/c uses medium/large graphs; small graphs do
         # not node-scale (latency-bound), which the model reproduces.
-        curves = run_fig7_nodes(
-            ["LiveJournal"], node_counts=[1, 4, 16], scale=0.3
+        speedup = self._speedups(
+            "nodes", [1, 4, 16], {"ranks": "{nodes}", "threads": 32}
         )
-        c = curves[0]
-        assert c.speedup[-1] > c.speedup[0]
+        assert speedup[-1] > speedup[0]
 
 
 class TestFig8:
-    def test_refine_dominates(self):
-        res = run_fig8(graph_name="UK-2005", node_counts=[4], scale=0.15)
+    @pytest.fixture(scope="class")
+    def res(self):
+        return hx.fig8_breakdowns(_run(
+            {"nodes": [4]},
+            {"graph": "UK-2005", "ranks": "{nodes}", "machine": "p7ih",
+             "work_scale": "paper"},
+            _social("UK-2005", scale=0.15), keep_raw=True,
+        ))
+
+    def test_refine_dominates(self, res):
         outer = res.outer_breakdown[0]
         refine_total = sum(lv.get("REFINE", 0.0) for lv in outer)
         recon_total = sum(lv.get("GRAPH_RECONSTRUCTION", 0.0) for lv in outer)
         assert refine_total > recon_total
 
-    def test_first_level_dominates(self):
-        res = run_fig8(graph_name="UK-2005", node_counts=[4], scale=0.15)
+    def test_first_level_dominates(self, res):
         outer = res.outer_breakdown[0]
         t0 = sum(outer[0].values())
         total = sum(sum(lv.values()) for lv in outer)
         assert t0 > 0.5 * total
 
-    def test_inner_iterations_recorded(self):
-        res = run_fig8(graph_name="UK-2005", node_counts=[4], scale=0.15)
+    def test_inner_iterations_recorded(self, res):
         inner = res.inner_breakdown[0]
         assert len(inner) >= 2
         assert any("FIND_BEST" in it for it in inner)
+        assert "first outer loop (4 nodes)" in hx.format_fig8(res)
 
 
 class TestTable4:
@@ -174,17 +228,38 @@ class TestTable4:
 
 class TestFig9:
     def test_weak_scaling_gteps_grows(self):
-        curve = run_fig9_weak(
-            node_counts=[2, 8], vertices_per_node=128, machine=BGQ
-        )
-        assert curve.points[-1].gteps > curve.points[0].gteps
+        # 128 vertices per node on the BG/Q model, extrapolated to the
+        # paper's 2^24 edges per node.
+        points = [
+            {"_name": f"rmat/n{n}", "graph": f"rmat-n{n}", "machine": "bgq",
+             "threads": 64, "nodes": n, "ranks": n, "work_edges": 2**24 * n}
+            for n in (2, 8)
+        ]
+        graphs = {f"rmat-n{n}": {"family": "rmat", "scale": s, "edge_factor": 16}
+                  for n, s in ((2, 8), (8, 10))}
+        curves = hx.weak_curves(build_summary(
+            _run({"point": points}, {"max_levels": 2}, graphs)
+        ))
+        nodes, rates, _mods = curves["rmat"]
+        assert nodes == [2, 8]
+        assert rates[-1] > rates[0]
+        assert "rmat GTEPS: 2=" in hx.format_fig9a(curves)
 
     def test_strong_scaling_runs(self):
-        curve = run_fig9_strong(
-            node_counts=[2, 8], graph_name="UK-2005", scale=0.15, machine=P7IH
+        workload = {"_name": "uk2005", "graph": "UK-2005", "machine": "p7ih",
+                    "threads": 32, "work_scale": "paper"}
+        matrix = _run(
+            {"workload": [workload], "nodes": [2, 8]},
+            {"ranks": "{nodes}", "max_levels": 2},
+            _social("UK-2005", scale=0.15),
         )
-        assert all(p.gteps > 0 for p in curve.points)
-        assert curve.points[0].edges == curve.points[1].edges
+        curves = hx.strong_curves(build_summary(matrix))
+        nodes, rates = curves["uk2005"]
+        assert nodes == [2, 8]
+        assert all(g > 0 for g in rates)
+        # One fixed workload: every point extrapolates the same edge count.
+        assert len({c.timed[0].work_scale for c in matrix.cells}) == 1
+        assert "uk2005 GTEPS: 2=" in hx.format_fig9bc(curves)
 
 
 class TestTeps:

@@ -9,6 +9,7 @@ descriptive error instead of hanging the barrier, shared-memory segments
 are unlinked on success *and* failure, and rank payloads are never pickled.
 """
 
+import mmap
 import pickle
 import sys
 import time
@@ -270,6 +271,41 @@ class TestShmHygiene:
         finally:
             block.close()
             block.unlink()
+
+    def test_shm_block_create_unlinks_on_mmap_failure(self, monkeypatch):
+        def no_mmap(*args, **kwargs):
+            raise OSError("injected mmap failure")
+
+        monkeypatch.setattr(mmap, "mmap", no_mmap)
+        with pytest.raises(OSError, match="injected mmap failure"):
+            ShmBlock.create("reproshm-test-mmap", 64)
+        assert leaked_segments() == []
+
+    @pytest.mark.parametrize("fail_at", ["bus", 2, 3, 4, 5])
+    def test_setup_failure_leaves_no_segments(self, lfr300, monkeypatch, fail_at):
+        # Two ranks create seven segments before any worker forks: the two
+        # manifest shards, the bus header, then two payload slots per rank.
+        # Whether the nth creation or the whole bus fails, the error must
+        # surface and /dev/shm must end up clean.
+        real_create = ShmBlock.create
+        calls = []
+
+        def failing_create(name, size):
+            calls.append(name)
+            if len(calls) == fail_at:
+                raise OSError(f"injected failure creating {name}")
+            return real_create(name, size)
+
+        def failing_bus(*args, **kwargs):
+            raise OSError("injected failure creating the bus")
+
+        if fail_at == "bus":
+            monkeypatch.setattr(SharedMemoryBus, "create", staticmethod(failing_bus))
+        else:
+            monkeypatch.setattr(ShmBlock, "create", staticmethod(failing_create))
+        with pytest.raises(OSError, match="injected failure creating"):
+            _run(lfr300, "process", num_ranks=2)
+        assert leaked_segments() == []
 
     def test_bus_refuses_pickling(self):
         import multiprocessing

@@ -1,9 +1,11 @@
 """No client input reaches the 500 handler or sizes an allocation.
 
 Table-driven over the inputs that used to escape as 500s (or park a handler
-thread): malformed query values, malformed body fields, unparseable or
-negative ``Content-Length``, oversized bodies and oversized vertex or rank
-counts.  Every one must come back as a 4xx promptly.
+thread, or queue a job bound to fail): malformed query values, malformed
+body fields, unknown algorithms, unparseable or negative ``Content-Length``,
+oversized bodies, oversized vertex or rank counts, and methods the API does
+not route (501 from ``http.server``).  Every one must come back as a 4xx
+promptly.
 """
 
 import http.client
@@ -101,6 +103,10 @@ BODIES = [
     ("/graph", {"edges": [[-1, 2]]}),
     ("/graph", {"edges": [[0, True]]}),
     ("/graph", {"edges": 7}),
+    ("/graph", {"edges": [[0, 1]], "algorithm": "bogus"}),
+    ("/graph", {"edges": [[0, 1]], "algorithm": 5}),
+    ("/graph", {"edges": [[0, 1]], "algorithm": ["x"]}),
+    ("/graph", {"edges": [[0, 1]], "algorithm": "lpa"}),
 ]
 
 
@@ -151,6 +157,15 @@ def test_oversized_body_is_413_without_reading(server):
     )
     assert status == 413, reply
     assert str(MAX_BODY_BYTES) in reply["error"]
+
+
+@pytest.mark.parametrize("method", ["PUT", "PATCH", "HEAD", "OPTIONS"])
+def test_unrouted_methods_are_405(server, method):
+    # http.server answers a method without a do_<METHOD> handler with 501.
+    status, reply = _call(server, method, "/graph", _json({"edges": [[0, 1]]}))
+    assert status == 405, reply
+    if method != "HEAD":
+        assert "error" in reply
 
 
 def test_server_still_healthy_after_bad_input(server):

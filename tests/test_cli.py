@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness import experiments
 
 
 @pytest.fixture
@@ -258,6 +259,38 @@ class TestExperiment:
         rc = main(["experiment", "fig2", "--scale", "0.4"])
         assert rc == 0
         assert "fitted p1=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("exp", sorted(experiments.FIGURE_MATRICES))
+    def test_routed_ids_reject_scale(self, exp, capsys):
+        rc = main(["experiment", exp, "--scale", "0.5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        for name in experiments.FIGURE_MATRICES[exp]:
+            assert (experiments.MATRIX_DIR / name).is_file()
+            assert str(experiments.MATRIX_DIR / name) in err
+
+    def test_routed_id_without_matrix_dir(self, tmp_path, monkeypatch, capsys):
+        missing = tmp_path / "matrices"
+        monkeypatch.setattr(experiments, "MATRIX_DIR", missing)
+        rc = main(["experiment", "table3"])
+        assert rc == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_routed_id_runs_its_matrix(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "table3_quality.toml").write_text(
+            'label = "table3-tiny"\nrepetitions = 1\nwarmup = 0\n'
+            '[factors]\ngraph = ["lfr-mu04"]\n'
+            'variant = ["sequential", "parallel"]\n'
+            '[cell]\nvariant = "{variant}"\ngraph = "{graph}"\nranks = 2\n'
+            '[graphs.lfr-mu04]\nfamily = "lfr"\nnum_vertices = 200\n'
+            "avg_degree = 10\nmax_degree = 30\nmixing = 0.4\n"
+        )
+        monkeypatch.setattr(experiments, "MATRIX_DIR", tmp_path)
+        rc = main(["experiment", "table3"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Table III: parallel-vs-sequential")
+        assert "LFR(mu=0.4)" in out
 
 
 class TestTraceDiff:
