@@ -32,14 +32,15 @@ def main() -> None:
     print(f"\n{'nodes':>5s} {'total (s)':>10s} {'speedup':>8s} {'GTEPS':>7s}   phase breakdown")
     for nodes in (1, 2, 4, 8, 16, 32, 64):
         result = parallel_louvain(graph, num_ranks=nodes)
+        counters = result.simulation.profiler.phases
         secs = total_time(
-            result.simulation.profiler, P7IH,
+            counters, P7IH,
             threads=P7IH.threads_per_node, nodes=nodes, work_scale=work_scale,
         )
         if baseline is None:
             baseline = secs
         phases = model_times(
-            result.simulation.profiler, P7IH,
+            counters, P7IH,
             threads=P7IH.threads_per_node, nodes=nodes,
             work_scale=work_scale, top_level=True,
         )

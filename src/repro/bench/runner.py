@@ -2,12 +2,12 @@
 
 Each cell runs ``warmup`` untimed repetitions followed by ``repetitions``
 timed ones.  Every repetition attaches a buffered
-:class:`~repro.observability.Tracer`, so wall time, per-phase breakdown
-(span durations), modularity and level/iteration counts all come from the
-same event stream the golden-trace gate fingerprints -- the perf gate and
-the correctness gate observe one source of truth.  Peak memory is sampled
-with :mod:`tracemalloc` during a warmup repetition only, keeping the timed
-repetitions free of allocation-tracking overhead.
+:class:`~repro.observability.Tracer`, so the per-phase breakdown (span
+durations) and iteration counts come from the same event stream the
+golden-trace gate fingerprints; modeled seconds and GTEPS come from the
+run's profiler counters.  Peak memory is sampled with :mod:`tracemalloc`
+during a warmup repetition only, keeping the timed repetitions free of
+allocation-tracking overhead.
 
 Cell parameter vocabulary (factor fields merged under the template; see
 :mod:`repro.bench.config`):
@@ -323,7 +323,7 @@ def _run_once(
 
         scale = 1.0 if work_scale is None else work_scale
         rep.modeled_s = total_time(
-            summary.raw.simulation.profiler, machine,
+            summary.raw.simulation.profiler.phases, machine,
             threads=threads, nodes=nodes, work_scale=scale,
         )
         rep.seq_reference_s = sequential_reference_seconds(

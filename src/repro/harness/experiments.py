@@ -38,7 +38,7 @@ from ..parallel import (
     fit_schedule,
     parallel_louvain,
 )
-from ..runtime import P7IH, MachineModel, model_phase_time, total_time
+from ..runtime import P7IH, MachineModel, model_times, total_time
 from ..sequential import louvain as sequential_louvain
 from .tables import format_series, format_table
 
@@ -513,18 +513,15 @@ def fig8_level_breakdown(
     work_scale: float = 1.0,
 ) -> list[dict[str, float]]:
     """Fig. 8a projection: per outer level, modeled seconds per top phase."""
-    outer_levels: list[dict[str, float]] = []
-    for lv in result.levels:
-        phases: dict[str, float] = {}
-        for name, counters in lv.phase_counters.items():
-            top = name.split("/", 1)[0]
-            phases[top] = phases.get(top, 0.0) + model_phase_time(
-                counters, machine,
-                threads=machine.threads_per_node, nodes=nodes,
-                work_scale=work_scale,
-            )
-        outer_levels.append(phases)
-    return outer_levels
+    profiler = result.simulation.profiler
+    return [
+        model_times(
+            profiler.select(lv.level), machine,
+            threads=machine.threads_per_node, nodes=nodes,
+            work_scale=work_scale, top_level=True,
+        )
+        for lv in result.levels
+    ]
 
 
 def fig8_iteration_breakdown(
@@ -534,20 +531,22 @@ def fig8_iteration_breakdown(
     nodes: int,
     work_scale: float = 1.0,
 ) -> list[dict[str, float]]:
-    """Fig. 8b projection: level-0 per-inner-iteration modeled seconds."""
-    inner_iters: list[dict[str, float]] = []
-    if result.levels:
-        for it in result.levels[0].iterations:
-            phases: dict[str, float] = {}
-            for name, counters in it.phase_counters.items():
-                leaf = name.split("/")[-1]
-                phases[leaf] = phases.get(leaf, 0.0) + model_phase_time(
-                    counters, machine,
-                    threads=machine.threads_per_node, nodes=nodes,
-                    work_scale=work_scale,
-                )
-            inner_iters.append(phases)
-    return inner_iters
+    """Fig. 8b projection: level-0 per-inner-iteration modeled seconds,
+    keyed by leaf phase name (``FIND_BEST``, ``UPDATE``, ...)."""
+    if not result.levels:
+        return []
+    profiler = result.simulation.profiler
+    return [
+        {
+            name.rsplit("/", 1)[-1]: secs
+            for name, secs in model_times(
+                profiler.select(0, it.iteration), machine,
+                threads=machine.threads_per_node, nodes=nodes,
+                work_scale=work_scale,
+            ).items()
+        }
+        for it in result.levels[0].iterations
+    ]
 
 
 def fig8_breakdowns(matrix: MatrixResult) -> Fig8Result:
@@ -622,7 +621,7 @@ def run_table4(
     ws = paper_work_scale("UK-2007", g.num_edges)
     result = parallel_louvain(g, num_ranks=nodes)
     secs = total_time(
-        result.simulation.profiler, machine,
+        result.simulation.profiler.phases, machine,
         threads=machine.threads_per_node, nodes=nodes, work_scale=ws,
     )
     return Table4Result(

@@ -4,14 +4,13 @@ The paper borrows Traversed Edges Per Second from Graph500 and computes it
 as *input edges divided by the time to finish the first level* ("the graph
 shrinks significantly during the first iteration, which generates the most
 informative community structure").  Here the time is the machine-model time
-of the first level's phases.
+of the counters the profiler scoped to level 0.
 """
 
 from __future__ import annotations
 
 from ..parallel.louvain import ParallelLouvainResult
-from ..runtime import MachineModel
-from ..runtime.machine import model_phase_time
+from ..runtime import MachineModel, total_time
 
 __all__ = ["first_level_seconds", "teps", "gteps"]
 
@@ -25,16 +24,13 @@ def first_level_seconds(
     work_scale: float = 1.0,
 ) -> float:
     """Modeled seconds of level 0 (initial propagation through its
-    reconstruction), from the level's recorded phase-counter deltas.
+    reconstruction), from the counters the profiler scoped to that level.
     """
     if not result.levels:
         raise ValueError("run produced no levels")
-    level0 = result.levels[0]
-    return sum(
-        model_phase_time(
-            counters, machine, threads=threads, nodes=nodes, work_scale=work_scale
-        )
-        for counters in level0.phase_counters.values()
+    return total_time(
+        result.simulation.profiler.select(0), machine,
+        threads=threads, nodes=nodes, work_scale=work_scale,
     )
 
 

@@ -197,11 +197,12 @@ def detect_communities(
         raw=result,
     )
     if machine is not None:
+        phases = result.simulation.profiler.phases
         summary.modeled_phase_seconds = model_times(
-            result.simulation.profiler, machine, threads=threads, top_level=True
+            phases, machine, threads=threads, top_level=True
         )
         summary.modeled_total_seconds = total_time(
-            result.simulation.profiler, machine, threads=threads
+            phases, machine, threads=threads
         )
     return _attach_trace(summary, tracer, trace_path, streamed=trace_stream)
 

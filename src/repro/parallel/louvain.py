@@ -33,7 +33,6 @@ from ..graph import Graph
 from ..metrics.modularity import modularity_from_labels
 from ..observability.tracer import NULL_TRACER, Tracer
 from ..runtime import Simulation
-from ..runtime.profiler import PhaseCounters
 from .heuristic import (
     HISTOGRAM_EDGES,
     ExponentialSchedule,
@@ -120,8 +119,6 @@ class InnerIterationStats:
     candidates: int  # vertices with a strictly positive best gain
     movers: int
     modularity: float
-    #: Per-phase counter deltas for this iteration (Fig. 8b's raw material).
-    phase_counters: dict[str, PhaseCounters] = field(repr=False, default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -133,9 +130,6 @@ class ParallelLevelStats:
     num_adjacency_entries: int
     modularity: float
     iterations: tuple[InnerIterationStats, ...]
-    #: Per-phase counter deltas for the whole level, reconstruction included
-    #: (Fig. 8a's raw material).
-    phase_counters: dict[str, PhaseCounters] = field(repr=False, default_factory=dict)
 
 
 @dataclass
@@ -678,49 +672,6 @@ def _make_backend(config: ParallelLouvainConfig):
 # ===================================================================== #
 
 
-def _snapshot(sim: Simulation) -> dict[str, tuple]:
-    out = {}
-    for name, c in sim.profiler.phases.items():
-        out[name] = (
-            c.comp_ops.copy(),
-            c.records_sent.copy(),
-            c.bytes_sent.copy(),
-            c.messages_sent.copy(),
-            c.supersteps,
-            c.collectives,
-        )
-    return out
-
-
-def _delta(sim: Simulation, before: dict[str, tuple]) -> dict[str, PhaseCounters]:
-    out: dict[str, PhaseCounters] = {}
-    for name, c in sim.profiler.phases.items():
-        prev = before.get(name)
-        d = PhaseCounters(num_ranks=sim.num_ranks)
-        if prev is None:
-            d.comp_ops = c.comp_ops.copy()
-            d.records_sent = c.records_sent.copy()
-            d.bytes_sent = c.bytes_sent.copy()
-            d.messages_sent = c.messages_sent.copy()
-            d.supersteps = c.supersteps
-            d.collectives = c.collectives
-        else:
-            d.comp_ops = c.comp_ops - prev[0]
-            d.records_sent = c.records_sent - prev[1]
-            d.bytes_sent = c.bytes_sent - prev[2]
-            d.messages_sent = c.messages_sent - prev[3]
-            d.supersteps = c.supersteps - prev[4]
-            d.collectives = c.collectives - prev[5]
-        if (
-            d.comp_ops.any()
-            or d.records_sent.any()
-            or d.supersteps
-            or d.collectives
-        ):
-            out[name] = d
-    return out
-
-
 def parallel_louvain(
     graph: Graph,
     config: ParallelLouvainConfig | None = None,
@@ -848,6 +799,11 @@ def _louvain_core(
     starting partition (lazy so the empty-graph early return never pays for
     it; in process mode the parent precomputes the float once and workers
     close over it).
+
+    The profiler is scoped as the run goes: its level is set when a level
+    starts and its iteration when a REFINE iteration starts (0 outside
+    iterations), so ``profiler.select(level[, iteration])`` reads back the
+    counters of one level or one inner iteration.
     """
     san = sim.sanitizer
     if tracer.enabled:
@@ -881,6 +837,7 @@ def _louvain_core(
     level_start_q = float(level0_q())
 
     for level in range(config.max_levels):
+        sim.profiler.level = level
         n_level = partition.num_vertices
         if tracer.enabled:
             tracer.level_start(level, num_vertices=n_level)
@@ -894,7 +851,6 @@ def _louvain_core(
             in_fingerprints = [
                 san.table_fingerprint(st.tables.in_table) for st in ranks
             ]
-        level_before = _snapshot(sim)
         with sim.phase("STATE_PROPAGATION"):
             backend.state_propagation(sim, partition, ranks)
 
@@ -903,9 +859,9 @@ def _louvain_core(
         q = prev_q
         with sim.phase("REFINE"):
             for iteration in range(1, config.max_inner + 1):
+                sim.profiler.iteration = iteration
                 if san.enabled:
                     san.enter_iteration(iteration)
-                before = _snapshot(sim)
                 with sim.phase("FIND_BEST"):
                     best_gain, best_comm = backend.find_best(
                         sim, partition, ranks, m, config.resolution
@@ -949,7 +905,6 @@ def _louvain_core(
                         candidates=candidates,
                         movers=moved,
                         modularity=q,
-                        phase_counters=_delta(sim, before),
                     )
                 )
                 if tracer.enabled:
@@ -962,6 +917,7 @@ def _louvain_core(
                 if q - prev_q < config.inner_tol and prev_q > -1.0:
                     break
                 prev_q = q
+            sim.profiler.iteration = 0
 
         if tracer.enabled:
             for st in ranks:
@@ -1021,7 +977,6 @@ def _louvain_core(
                 num_adjacency_entries=level_entries,
                 modularity=q,
                 iterations=tuple(iter_stats),
-                phase_counters=_delta(sim, level_before),
             )
         )
         membership = labels[membership]

@@ -30,6 +30,27 @@ __all__ = ["ExchangeResult", "MessageBus"]
 _BYTES_PER_WORD = 8
 
 
+def group_by_destination(
+    box: tuple[np.ndarray, ...], num_ranks: int
+) -> list[tuple[np.ndarray, ...]]:
+    """Split a ``(dest_ranks, col0, col1, ...)`` outbox into one column tuple
+    per destination rank; the stable argsort keeps each destination's
+    records in send order."""
+    dest = np.asarray(box[0], dtype=np.int64)
+    cols = [np.asarray(col) for col in box[1:]]
+    for col in cols:
+        if col.shape[0] != dest.shape[0]:
+            raise ValueError("columns must match dest length")
+    if dest.size and (dest.min() < 0 or dest.max() >= num_ranks):
+        raise ValueError("destination rank out of range")
+    order = np.argsort(dest, kind="stable")
+    bounds = np.searchsorted(
+        dest[order], np.arange(num_ranks + 1, dtype=np.int64)
+    ).tolist()
+    cols = [col[order] for col in cols]
+    return [tuple(col[a:b] for col in cols) for a, b in zip(bounds, bounds[1:])]
+
+
 @dataclass
 class ExchangeResult:
     """Per-destination inboxes from one alltoallv superstep.
@@ -88,96 +109,15 @@ class MessageBus:
         ``outboxes[src]`` is ``(dest_ranks, col0, col1, ...)`` or ``None``;
         all columns must share the first dimension.  Returns inboxes holding
         the same columns (without the dest column), concatenated over all
-        sources in rank order (then optionally shuffled).
+        sources in rank order (then optionally shuffled).  Each outbox is
+        grouped by destination and delivered by :meth:`exchange_grouped`.
         """
         if len(outboxes) != self.num_ranks:
             raise ValueError("one outbox per rank required")
-        sanitizer = self.sanitizer
-        if sanitizer.enabled:
-            phase = (
-                self.profiler.current_phase if self.profiler is not None else None
-            )
-            sanitizer.check_exchange_participation(outboxes, phase=phase)
-        arity = None
-        for box in outboxes:
-            if box is not None and len(box) >= 2:
-                arity = len(box) - 1
-                break
-        if arity is None:
-            empty = tuple(np.empty(0, dtype=np.int64) for _ in range(1))
-            return ExchangeResult(columns=[empty] * self.num_ranks)
-
-        tracer = self.profiler.tracer if self.profiler is not None else None
-        tracing = tracer is not None and tracer.enabled
-        if tracing:
-            sent_records = [0] * self.num_ranks
-            sent_bytes = 0
-            sent_messages = 0
-
-        per_dest_parts: list[list[tuple[np.ndarray, ...]]] = [
-            [] for _ in range(self.num_ranks)
-        ]
-        for src, box in enumerate(outboxes):
-            if box is None:
-                continue
-            dest = np.asarray(box[0], dtype=np.int64)
-            cols = box[1:]
-            if len(cols) != arity:
-                raise ValueError("all outboxes must have the same arity")
-            for col in cols:
-                if np.asarray(col).shape[0] != dest.shape[0]:
-                    raise ValueError("columns must match dest length")
-            if dest.size == 0:
-                continue
-            if dest.min() < 0 or dest.max() >= self.num_ranks:
-                raise ValueError("destination rank out of range")
-            order = np.argsort(dest, kind="stable")
-            sorted_dest = dest[order]
-            boundaries = np.searchsorted(
-                sorted_dest, np.arange(self.num_ranks + 1, dtype=np.int64)
-            )
-            nonempty = np.flatnonzero(np.diff(boundaries) > 0)
-            touched = int(nonempty.size)
-            for d in nonempty.tolist():
-                a, b = boundaries[d], boundaries[d + 1]
-                part = tuple(np.asarray(col)[order[a:b]] for col in cols)
-                per_dest_parts[d].append(part)
-            if self.profiler is not None:
-                self.profiler.add_send(
-                    src,
-                    records=int(dest.size),
-                    nbytes=int(dest.size) * arity * _BYTES_PER_WORD,
-                    messages=touched,
-                )
-            if tracing:
-                sent_records[src] += int(dest.size)
-                sent_bytes += int(dest.size) * arity * _BYTES_PER_WORD
-                sent_messages += touched
-
-        inboxes: list[tuple[np.ndarray, ...]] = []
-        for d in range(self.num_ranks):
-            parts = per_dest_parts[d]
-            if parts:
-                cols = tuple(
-                    np.concatenate([p[i] for p in parts]) for i in range(arity)
-                )
-            else:
-                cols = tuple(np.empty(0, dtype=np.int64) for _ in range(arity))
-            if self.reorder_rng is not None and cols[0].size > 1:
-                perm = self.reorder_rng.permutation(cols[0].size)
-                cols = tuple(c[perm] for c in cols)
-            inboxes.append(cols)
-        if self.profiler is not None:
-            self.profiler.add_superstep()
-        if tracing:
-            tracer.superstep(
-                self.profiler.current_phase,
-                records=sum(sent_records),
-                nbytes=sent_bytes,
-                messages=sent_messages,
-                per_rank_records=sent_records,
-            )
-        return ExchangeResult(columns=inboxes)
+        return self.exchange_grouped([
+            None if box is None else group_by_destination(box, self.num_ranks)
+            for box in outboxes
+        ])
 
     def exchange_grouped(
         self, outboxes: list[list[tuple[np.ndarray, ...]] | None]
@@ -186,12 +126,11 @@ class MessageBus:
 
         ``outboxes[src]`` is a list of ``num_ranks`` column tuples -- the
         records ``src`` sends to each destination, already grouped -- or
-        ``None`` for a rank skipping the superstep.  Semantics, traffic
-        accounting and failure injection are identical to :meth:`exchange`;
-        the only difference is that the per-record destination argsort is
-        skipped, because the caller already paid for the grouping (typically
-        once per level, for a phase whose destination pattern is static --
-        the vectorized backend's STATE PROPAGATION resends the same in-edge
+        ``None`` for a rank skipping the superstep.  This is the bus's one
+        delivery path (traffic accounting and failure injection included):
+        :meth:`exchange` groups its outboxes and calls it, and a caller whose
+        destination pattern is static groups once and calls it directly
+        (the vectorized backend's STATE PROPAGATION resends the same in-edge
         structure every inner iteration).
         """
         if len(outboxes) != self.num_ranks:

@@ -23,9 +23,10 @@ who wins, by what factor, where scaling knees appear.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
-from .profiler import PhaseCounters, PhaseProfiler
+from .profiler import PhaseCounters
 
 __all__ = ["MachineModel", "P7IH", "BGQ", "model_phase_time", "model_times", "total_time"]
 
@@ -135,7 +136,7 @@ def model_phase_time(
 
 
 def model_times(
-    profiler: PhaseProfiler,
+    phases: Mapping[str, PhaseCounters],
     machine: MachineModel,
     *,
     threads: int | None = None,
@@ -143,35 +144,40 @@ def model_times(
     work_scale: float = 1.0,
     top_level: bool = False,
 ) -> dict[str, float]:
-    """Modeled seconds per phase (optionally aggregated to top level)."""
-    if top_level:
-        names = profiler.top_level_phases()
-        return {
-            name: model_phase_time(
-                profiler.aggregate(name), machine,
-                threads=threads, nodes=nodes, work_scale=work_scale,
-            )
-            for name in names
-        }
-    return {
+    """Modeled seconds per phase of a counter mapping.
+
+    ``phases`` is ``profiler.phases`` for the whole run or
+    ``profiler.select(level[, iteration])`` for one level or iteration.
+    ``top_level`` sums the per-phase times by top-level name (everything
+    under ``REFINE/`` is REFINE), so either way the values add up to
+    :func:`total_time`.
+    """
+    times = {
         name: model_phase_time(
             counters, machine, threads=threads, nodes=nodes, work_scale=work_scale
         )
-        for name, counters in sorted(profiler.phases.items())
+        for name, counters in sorted(phases.items())
     }
+    if not top_level:
+        return times
+    out: dict[str, float] = {}
+    for name, secs in times.items():
+        top = name.split("/", 1)[0]
+        out[top] = out.get(top, 0.0) + secs
+    return out
 
 
 def total_time(
-    profiler: PhaseProfiler,
+    phases: Mapping[str, PhaseCounters],
     machine: MachineModel,
     *,
     threads: int | None = None,
     nodes: int | None = None,
     work_scale: float = 1.0,
 ) -> float:
-    """Total modeled seconds across all phases."""
+    """Total modeled seconds across all phases of a counter mapping."""
     return sum(
         model_times(
-            profiler, machine, threads=threads, nodes=nodes, work_scale=work_scale
+            phases, machine, threads=threads, nodes=nodes, work_scale=work_scale
         ).values()
     )

@@ -41,7 +41,6 @@ import os
 import queue as _queue
 import time
 import traceback
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -203,7 +202,8 @@ def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
         )
 
         payload: dict[str, Any] = {
-            "phases": profiler.phases,
+            "scopes": profiler.scopes,
+            "num_levels": len(levels),
             "bytes_moved": ctx.bus.bytes_moved,
         }
         if rank == 0:
@@ -211,11 +211,6 @@ def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
             payload["level_labels"] = level_labels
             payload["modularities"] = modularities
             payload["levels"] = levels
-        else:
-            payload["level_counters"] = [lv.phase_counters for lv in levels]
-            payload["iter_counters"] = [
-                [it.phase_counters for it in lv.iterations] for lv in levels
-            ]
         ctx.result_queue.put(("ok", rank, payload))
         if sink is not None:
             tracer.close()
@@ -266,39 +261,26 @@ def _drain_trace(trace_queue, tracer: "Tracer | None", done: bool) -> bool:
 
 
 def _merge_phase_dicts(
-    dicts: list[dict[str, PhaseCounters]], num_ranks: int
-) -> dict[str, PhaseCounters]:
-    """Union per-worker counter dicts: sum rank columns, keep shared scalars.
+    dicts: list[dict[tuple[int, int, str], PhaseCounters]],
+) -> dict[tuple[int, int, str], PhaseCounters]:
+    """Union per-worker scoped counters: sum rank columns, keep shared scalars.
 
     Each worker's arrays carry only its own rank's column, so summing
     reassembles the full per-rank breakdown.  Superstep/collective counts
-    advance identically on every worker (same bus ops, same phases), so they
-    come from the first worker that recorded the phase -- ``PhaseCounters.
-    merge`` would multiply them by ``P``.  A phase can be missing from some
+    advance identically on every worker (same bus ops, same scopes), so they
+    come from the first worker that recorded the scope -- ``PhaseCounters.
+    merge`` would multiply them by ``P``.  A scope can be missing from some
     workers (a rank with no local work in it), hence the union.
     """
-    names: list[str] = []
-    for d in dicts:
-        for name in d:
-            if name not in names:
-                names.append(name)
-    out: dict[str, PhaseCounters] = {}
-    for name in names:
-        merged = PhaseCounters(num_ranks=num_ranks)
-        first = True
-        for d in dicts:
-            part = d.get(name)
-            if part is None:
-                continue
-            merged.comp_ops += part.comp_ops
-            merged.records_sent += part.records_sent
-            merged.bytes_sent += part.bytes_sent
-            merged.messages_sent += part.messages_sent
-            if first:
-                merged.supersteps = part.supersteps
-                merged.collectives = part.collectives
-                first = False
-        out[name] = merged
+    out: dict[tuple[int, int, str], PhaseCounters] = {}
+    for scopes in dicts:
+        for key, part in scopes.items():
+            merged = out.setdefault(key, part)
+            if merged is not part:
+                merged.comp_ops += part.comp_ops
+                merged.records_sent += part.records_sent
+                merged.bytes_sent += part.bytes_sent
+                merged.messages_sent += part.messages_sent
     return out
 
 
@@ -475,43 +457,16 @@ def process_louvain(
             q.close()
 
     workers = [payloads[r] for r in range(P)]
-    profiler = PhaseProfiler(P, tracer=tracer if tracer.enabled else None)
-    profiler.phases = _merge_phase_dicts([w["phases"] for w in workers], P)
-
     root = workers[0]
-    base_levels = root["levels"]
     for r in range(1, P):
-        if len(workers[r]["level_counters"]) != len(base_levels):
+        if workers[r]["num_levels"] != root["num_levels"]:
             raise ProcessExecutionError(
-                f"rank {r} recorded {len(workers[r]['level_counters'])} "
-                f"levels but rank 0 recorded {len(base_levels)}: the SPMD "
+                f"rank {r} recorded {workers[r]['num_levels']} "
+                f"levels but rank 0 recorded {root['num_levels']}: the SPMD "
                 "control flow diverged"
             )
-    merged_levels = []
-    for li, lv in enumerate(base_levels):
-        iteration_dicts = [
-            [it.phase_counters for it in lv.iterations]
-        ] + [workers[r]["iter_counters"][li] for r in range(1, P)]
-        its = []
-        for ii, it in enumerate(lv.iterations):
-            its.append(
-                replace(
-                    it,
-                    phase_counters=_merge_phase_dicts(
-                        [d[ii] for d in iteration_dicts], P
-                    ),
-                )
-            )
-        level_dicts = [lv.phase_counters] + [
-            workers[r]["level_counters"][li] for r in range(1, P)
-        ]
-        merged_levels.append(
-            replace(
-                lv,
-                iterations=tuple(its),
-                phase_counters=_merge_phase_dicts(level_dicts, P),
-            )
-        )
+    profiler = PhaseProfiler(P, tracer=tracer if tracer.enabled else None)
+    profiler.scopes = _merge_phase_dicts([w["scopes"] for w in workers])
 
     sim = Simulation(
         num_ranks=P,
@@ -524,7 +479,7 @@ def process_louvain(
         membership=root["membership"],
         level_labels=root["level_labels"],
         modularities=root["modularities"],
-        levels=merged_levels,
+        levels=root["levels"],
         simulation=sim,
         config=config,
     )

@@ -11,7 +11,10 @@ seconds.
 Phase names follow the paper's breakdown (Fig. 8): ``STATE_PROPAGATION``,
 ``REFINE/FIND_BEST``, ``REFINE/UPDATE``, ``GRAPH_RECONSTRUCTION``, ...
 Hierarchical prefixes let the harness aggregate (everything under ``REFINE/``
-is REFINE time).
+is REFINE time).  Every counter is also scoped by the outer level and the
+REFINE iteration it was charged in, so one level (Fig. 8a, the TEPS
+denominator) or one inner iteration (Fig. 8b) can be read back without
+copying counters as the run goes.
 """
 
 from __future__ import annotations
@@ -61,12 +64,16 @@ class PhaseCounters:
 
 
 class PhaseProfiler:
-    """Accumulates :class:`PhaseCounters` keyed by phase name.
+    """Accumulates :class:`PhaseCounters` keyed by ``(level, iteration, phase)``.
 
     The *current phase* is set with the :meth:`phase` context manager; the
     communication bus and algorithm code charge counters to it.  Nested
     phases are joined with ``/`` so Fig. 8 can be produced at either
-    granularity.
+    granularity.  The Louvain control plane sets :attr:`level` when it
+    starts an outer level and :attr:`iteration` when it starts a REFINE
+    iteration; the iteration is 0 outside iterations and the level is -1
+    before the first level (INIT).  :attr:`phases` folds the scopes into
+    run totals and :meth:`select` reads one level or one iteration.
 
     When a :class:`~repro.observability.tracer.Tracer` is attached, every
     phase entry/exit is mirrored as a tracer span (same ``/``-joined names),
@@ -78,7 +85,10 @@ class PhaseProfiler:
 
     def __init__(self, num_ranks: int, tracer: "Tracer | None" = None) -> None:
         self.num_ranks = int(num_ranks)
-        self.phases: dict[str, PhaseCounters] = {}
+        #: Counters per ``(level, iteration, phase)``, in first-charge order.
+        self.scopes: dict[tuple[int, int, str], PhaseCounters] = {}
+        self.level = -1
+        self.iteration = 0
         self._stack: list[str] = []
         self.tracer = tracer
 
@@ -97,22 +107,27 @@ class PhaseProfiler:
         tracing = tracer is not None and tracer.enabled
         if tracing:
             tracer.begin_span(full)
-            ops_before = self._get(full).comp_ops.copy()
+            # The delta is read from the scope the span started in: the
+            # REFINE span outlives every iteration inside it.
+            entry = self._get(full)
+            ops_before = entry.comp_ops.copy()
         try:
             yield self
         finally:
             self._stack.pop()
             if tracing:
-                delta = self._get(full).comp_ops - ops_before
+                delta = entry.comp_ops - ops_before
                 tracer.end_span(
                     comp_ops=delta.tolist() if delta.any() else None
                 )
 
     def _get(self, name: str | None = None) -> PhaseCounters:
-        key = name if name is not None else self.current_phase
-        if key not in self.phases:
-            self.phases[key] = PhaseCounters(num_ranks=self.num_ranks)
-        return self.phases[key]
+        phase = self.current_phase if name is None else name
+        key = (self.level, self.iteration, phase)
+        entry = self.scopes.get(key)
+        if entry is None:
+            entry = self.scopes[key] = PhaseCounters(num_ranks=self.num_ranks)
+        return entry
 
     # -------------------------------------------------------------- #
     # Charging
@@ -142,37 +157,51 @@ class PhaseProfiler:
     # Reporting
     # -------------------------------------------------------------- #
 
-    def phase_names(self) -> list[str]:
-        return sorted(self.phases)
+    @property
+    def phases(self) -> dict[str, PhaseCounters]:
+        """Run totals per phase: every scope folded together."""
+        return self._fold(self.scopes.items())
+
+    def select(
+        self, level: int, iteration: int | None = None
+    ) -> dict[str, PhaseCounters]:
+        """Per-phase counters of one level, or of one REFINE iteration in it.
+
+        Phases with nothing charged in the selected scopes are left out.
+        """
+        folded = self._fold(
+            (key, counters)
+            for key, counters in self.scopes.items()
+            if key[0] == level and (iteration is None or key[1] == iteration)
+        )
+        return {
+            name: c
+            for name, c in folded.items()
+            if c.comp_ops.any() or c.records_sent.any() or c.supersteps
+            or c.collectives
+        }
+
+    def _fold(self, items) -> dict[str, PhaseCounters]:
+        out: dict[str, PhaseCounters] = {}
+        for (_, _, name), counters in items:
+            if name not in out:
+                out[name] = PhaseCounters(num_ranks=self.num_ranks)
+            out[name].merge(counters)
+        return out
 
     def aggregate(self, prefix: str) -> PhaseCounters:
         """Sum all phases whose name equals or starts with ``prefix/``."""
         out = PhaseCounters(num_ranks=self.num_ranks)
-        for name, counters in self.phases.items():
+        for (_, _, name), counters in self.scopes.items():
             if name == prefix or name.startswith(prefix + "/"):
                 out.merge(counters)
         return out
 
     def top_level_phases(self) -> list[str]:
-        return sorted({name.split("/", 1)[0] for name in self.phases})
+        return sorted({name.split("/", 1)[0] for _, _, name in self.scopes})
 
     def total(self) -> PhaseCounters:
         out = PhaseCounters(num_ranks=self.num_ranks)
-        for counters in self.phases.values():
+        for counters in self.scopes.values():
             out.merge(counters)
-        return out
-
-    def summary(self) -> dict[str, dict[str, float]]:
-        """Human-readable totals per phase (max-over-ranks for comp)."""
-        out: dict[str, dict[str, float]] = {}
-        for name, c in sorted(self.phases.items()):
-            out[name] = {
-                "comp_ops_max": float(c.comp_ops.max()) if c.comp_ops.size else 0.0,
-                "comp_ops_sum": float(c.comp_ops.sum()),
-                "records": float(c.records_sent.sum()),
-                "bytes": float(c.bytes_sent.sum()),
-                "messages": float(c.messages_sent.sum()),
-                "supersteps": float(c.supersteps),
-                "collectives": float(c.collectives),
-            }
         return out

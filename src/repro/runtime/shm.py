@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.sanitizer import NULL_SANITIZER, Sanitizer
+from .comm import group_by_destination
 from .profiler import PhaseProfiler
 
 __all__ = [
@@ -548,22 +549,7 @@ class SharedMemoryBus:
         arity = -1
         if box is not None and len(box) >= 2:
             arity = len(box) - 1
-            dest = np.asarray(box[0], dtype=np.int64)
-            cols = [np.asarray(c) for c in box[1:]]
-            for col in cols:
-                if col.shape[0] != dest.shape[0]:
-                    raise ValueError("columns must match dest length")
-            if dest.size and (dest.min() < 0 or dest.max() >= self.num_ranks):
-                raise ValueError("destination rank out of range")
-            order = np.argsort(dest, kind="stable")
-            sorted_dest = dest[order]
-            boundaries = np.searchsorted(
-                sorted_dest, np.arange(self.num_ranks + 1, dtype=np.int64)
-            )
-            parts = []
-            for d in range(self.num_ranks):
-                a, b = boundaries[d], boundaries[d + 1]
-                parts.append(tuple(col[order[a:b]] for col in cols))
+            parts = group_by_destination(box, self.num_ranks)
         return self._exchange_common(
             parts, arity, participating=box is not None, kind=_K_EXCHANGE
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import P7IH, detect_communities
+from repro.generators import generate_rmat
 from repro.parallel import ConstantSchedule
 
 
@@ -34,6 +35,13 @@ class TestDetectCommunities:
         assert s.modeled_total_seconds is not None
         assert s.modeled_total_seconds > 0
         assert "REFINE" in s.modeled_phase_seconds
+
+    def test_modeled_phase_seconds_sum_to_total(self):
+        graph = generate_rmat(scale=12, edge_factor=8, seed=1)
+        s = detect_communities(graph, num_ranks=8, machine=P7IH)
+        assert sum(s.modeled_phase_seconds.values()) == pytest.approx(
+            s.modeled_total_seconds, rel=1e-12
+        )
 
     def test_no_machine_no_times(self, small_lfr):
         s = detect_communities(small_lfr.graph, num_ranks=2)

@@ -188,7 +188,8 @@ class TestDiagnostics:
         assert len(its) >= 2
         assert its[0].epsilon >= its[-1].epsilon
         assert its[0].movers > 0
-        assert all(it.phase_counters for it in its)
+        prof = res.simulation.profiler
+        assert all(prof.select(0, it.iteration) for it in its)
 
     def test_epsilon_follows_schedule(self, lfr_graph):
         sched = ExponentialSchedule(p1=0.05, p2=0.4)
@@ -213,10 +214,11 @@ class TestDiagnostics:
 
     def test_level_counters_sum_to_total(self, lfr_graph):
         res = parallel_louvain(lfr_graph.graph, num_ranks=4)
+        prof = res.simulation.profiler
         per_level = sum(
             c.comp_ops.sum()
             for lv in res.levels
-            for c in lv.phase_counters.values()
+            for c in prof.select(lv.level).values()
         )
         total = res.simulation.profiler.total().comp_ops.sum()
         # All but the final (non-improving, unrecorded) refine pass.

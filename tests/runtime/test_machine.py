@@ -85,19 +85,19 @@ class TestProfilerIntegration:
 
     def test_model_times_all_phases(self):
         p = self.make_profiler()
-        times = model_times(p, P7IH, threads=4, nodes=2)
+        times = model_times(p.phases, P7IH, threads=4, nodes=2)
         assert set(times) == {"REFINE/FIND_BEST", "RECON"}
 
     def test_model_times_top_level(self):
         p = self.make_profiler()
-        times = model_times(p, P7IH, threads=4, nodes=2, top_level=True)
+        times = model_times(p.phases, P7IH, threads=4, nodes=2, top_level=True)
         assert set(times) == {"REFINE", "RECON"}
         assert times["REFINE"] > times["RECON"]
 
     def test_total_time_is_sum(self):
         p = self.make_profiler()
-        assert total_time(p, P7IH, threads=4, nodes=2) == pytest.approx(
-            sum(model_times(p, P7IH, threads=4, nodes=2).values())
+        assert total_time(p.phases, P7IH, threads=4, nodes=2) == pytest.approx(
+            sum(model_times(p.phases, P7IH, threads=4, nodes=2).values())
         )
 
     def test_with_overrides(self):

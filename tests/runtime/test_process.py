@@ -82,15 +82,16 @@ class TestTrajectoryEquivalence:
         np.testing.assert_array_equal(sim.membership, proc.membership)
         assert sim.modularities == proc.modularities  # bitwise, not approx
         assert len(sim.levels) == len(proc.levels)
+        ps, pp = sim.simulation.profiler, proc.simulation.profiler
         for i, (ls, lp) in enumerate(zip(sim.levels, proc.levels)):
             assert ls.num_vertices == lp.num_vertices
             assert len(ls.iterations) == len(lp.iterations)
-            _assert_counters_equal(
-                ls.phase_counters, lp.phase_counters, f"level{i}"
-            )
-            for j, (its, itp) in enumerate(zip(ls.iterations, lp.iterations)):
+            _assert_counters_equal(ps.select(i), pp.select(i), f"level{i}")
+            for its, itp in zip(ls.iterations, lp.iterations):
+                j = its.iteration
+                assert itp.iteration == j
                 _assert_counters_equal(
-                    its.phase_counters, itp.phase_counters, f"level{i}/it{j}"
+                    ps.select(i, j), pp.select(i, j), f"level{i}/it{j}"
                 )
         _assert_counters_equal(
             sim.simulation.profiler.phases,
@@ -225,6 +226,24 @@ class TestFailureHandling:
         monkeypatch.setenv("REPRO_PROCESS_FAULT", "2:exit")
         with pytest.raises(ProcessExecutionError, match="rank 2 died"):
             _run(lfr300, "process", num_ranks=3)
+        assert leaked_segments() == []
+
+    def test_diverged_level_count_raises(self, lfr300, monkeypatch):
+        import repro.parallel.louvain as louvain
+
+        real_core = louvain._louvain_core
+
+        def core_losing_a_level_on_rank1(sim, partition, backend, ranks, *a, **kw):
+            membership, labels, mods, levels = real_core(
+                sim, partition, backend, ranks, *a, **kw
+            )
+            if ranks[0].rank == 1:
+                levels = levels[:-1]
+            return membership, labels, mods, levels
+
+        monkeypatch.setattr(louvain, "_louvain_core", core_losing_a_level_on_rank1)
+        with pytest.raises(ProcessExecutionError, match="control flow diverged"):
+            _run(lfr300, "process", num_ranks=2)
         assert leaked_segments() == []
 
     def test_config_rejects_process_with_hash_backend(self):

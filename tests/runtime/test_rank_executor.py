@@ -164,15 +164,17 @@ class TestThreadCountInvariance:
             np.testing.assert_array_equal(res.membership, base.membership)
             assert res.modularities == base.modularities  # bitwise
             assert len(res.levels) == len(base.levels)
+            pa, pb = res.simulation.profiler, base.simulation.profiler
             for i, (la, lb) in enumerate(zip(res.levels, base.levels)):
                 _assert_counters_equal(
-                    la.phase_counters, lb.phase_counters, f"{cpus}:level{i}"
+                    pa.select(i), pb.select(i), f"{cpus}:level{i}"
                 )
                 assert len(la.iterations) == len(lb.iterations)
-                for j, (ia, ib) in enumerate(zip(la.iterations, lb.iterations)):
+                for ia, ib in zip(la.iterations, lb.iterations):
+                    j = ia.iteration
                     assert ia.movers == ib.movers
                     _assert_counters_equal(
-                        ia.phase_counters, ib.phase_counters,
+                        pa.select(i, j), pb.select(i, j),
                         f"{cpus}:level{i}/it{j}",
                     )
             drifts = compare_fingerprints(base_fp, fp, EXACT)
