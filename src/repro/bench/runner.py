@@ -211,9 +211,7 @@ def _run_once(
     p = cell.params
     variant = str(p.get("variant", "parallel"))
     execution = str(p.get("execution", "simulated"))
-    backend = str(
-        p.get("backend", "vector" if execution == "process" else "hash")
-    )
+    backend = p.get("backend")
     if execution not in ("simulated", "process"):
         raise BenchConfigError(
             f"unknown execution {execution!r} (use simulated/process)"
@@ -250,7 +248,7 @@ def _run_once(
         from ..metrics import modularity
         from ..parallel import label_propagation
 
-        if backend != "hash":
+        if backend not in (None, "hash"):
             raise BenchConfigError("lpa cells take no backend override")
         tracer = Tracer()
         t0 = time.perf_counter()
@@ -287,7 +285,8 @@ def _run_once(
         algorithm=variant, num_ranks=ranks, seed=seed, tracer=tracer
     )
     if variant != "sequential":
-        kwargs["backend"] = backend
+        if backend is not None:
+            kwargs["backend"] = backend
         if variant == "parallel":
             kwargs["execution"] = execution
         kwargs.update(extras)
@@ -295,7 +294,7 @@ def _run_once(
             kwargs["schedule"] = schedule
     elif schedule is not None:
         raise BenchConfigError("sequential cells take no schedule override")
-    elif backend != "hash":
+    elif backend not in (None, "hash"):
         raise BenchConfigError(
             "sequential cells have no rank data-plane; drop the backend "
             "factor or exclude backend != 'hash' for variant = 'sequential'"

@@ -569,10 +569,8 @@ def _cmd_detect(args) -> int:
         try:
             backend_kwargs = {}
             if args.algorithm in ("parallel", "naive"):
-                default_backend = (
-                    "vector" if args.execution == "process" else "hash"
-                )
-                backend_kwargs["backend"] = args.backend or default_backend
+                if args.backend is not None:
+                    backend_kwargs["backend"] = args.backend
                 if args.algorithm == "parallel":
                     backend_kwargs["execution"] = args.execution
             summary = detect_communities(

@@ -4,10 +4,11 @@ The paper's cost model puts essentially all of the runtime into the
 per-superstep gain scan, Out_Table aggregation and REFINE; the hash-table
 reference path executes those against :class:`~repro.hashing.EdgeHashTable`
 probing.  This package holds the array reformulation those phases share when
-run under ``backend="vector"`` (:mod:`repro.parallel.vectorized`): combined
-integer keys instead of packed hash keys, stable-sort segment reductions
-instead of probe chains, and per-destination-rank pregrouping for the
-alltoallv exchanges.
+run under ``backend="vector"`` (:mod:`repro.parallel.vectorized`): int64
+``first * bound + second`` keys instead of packed hash keys, stable-sort
+segment reductions instead of probe chains, one id-range-graded pair order
+for every Out_Table sort, and the per-destination-rank grouping every
+alltoallv exchange goes through.
 
 Everything here is pure numpy with no dependency on the rest of the
 repository, so the utilities are unit-testable in isolation and reusable by
@@ -19,21 +20,19 @@ from .csr import (
     check_combined_width,
     coalesce_pairs,
     coalesce_with_order,
-    combine_keys,
-    group_by_rank,
+    group_by_destination,
+    pair_order,
     segment_coalesce,
     segment_starts,
-    split_keys,
 )
 
 __all__ = [
     "IndexWidthError",
     "check_combined_width",
-    "combine_keys",
-    "split_keys",
     "coalesce_pairs",
     "coalesce_with_order",
+    "group_by_destination",
+    "pair_order",
     "segment_coalesce",
     "segment_starts",
-    "group_by_rank",
 ]

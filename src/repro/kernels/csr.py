@@ -2,13 +2,6 @@
 
 Three families of helpers:
 
-* **Combined keys** -- the vector backend replaces the hash path's
-  ``pack(t1, t2)`` bit-packed ``uint64`` keys with plain ``int64`` arithmetic
-  ``first * bound + second``.  That trades the Eq.-5 bit fields for a
-  multiplication, which silently wraps at ``2^63`` if nobody checks -- so
-  :func:`combine_keys` validates the id widths up front and raises a
-  descriptive :class:`IndexWidthError` instead of corrupting edge identity
-  (the same fail-loudly contract :func:`repro.hashing.pack_key` follows).
 * **Segment coalescing** -- :func:`segment_coalesce` is the array analogue of
   ``EdgeHashTable.insert_accumulate``: group duplicate keys and sum their
   weights.  Group membership comes from one stable (radix) argsort, but the
@@ -17,11 +10,16 @@ Three families of helpers:
   table's ``np.add.at`` coalescing pass.  (``np.add.reduceat`` would be the
   obvious choice but uses pairwise summation, which rounds differently and
   would smear ulp-level noise into the differential gate.)
-* **Rank pregrouping** -- :func:`group_by_rank` splits record columns into
-  per-destination-rank batches ahead of time, so a phase with a *static*
-  destination pattern (STATE PROPAGATION resends the same in-edges every
-  inner iteration) can pay the grouping sort once per level and hand
-  ready-made batches to ``MessageBus.exchange_grouped``.
+* **Pair ordering** -- :func:`pair_order` picks the grouping strategy for
+  ``(first, second)`` id pairs by id range (dense grid, 16-bit radix sort or
+  a combined int64 key, whose width :func:`check_combined_width` validates
+  instead of letting ``first * bound + second`` wrap at ``2^63``);
+  :func:`coalesce_pairs` and the vector backend's Out_Table rebuild both
+  sort through it.
+* **Destination grouping** -- :func:`group_by_destination` splits an
+  alltoallv outbox into per-destination-rank batches with one stable
+  argsort; both message buses and the vector backend's per-level send
+  batches group through it.
 """
 
 from __future__ import annotations
@@ -31,13 +29,12 @@ import numpy as np
 __all__ = [
     "IndexWidthError",
     "check_combined_width",
-    "combine_keys",
-    "split_keys",
     "coalesce_pairs",
     "coalesce_with_order",
+    "group_by_destination",
+    "pair_order",
     "segment_coalesce",
     "segment_starts",
-    "group_by_rank",
 ]
 
 #: Largest value an int64 combined key may reach (inclusive).
@@ -76,46 +73,6 @@ def check_combined_width(num_first: int, bound_second: int, *, what: str = "key"
             f"(max {_INT64_MAX}); the graph is too large for the int64 "
             "combined-key layout"
         )
-
-
-def combine_keys(
-    first: np.ndarray, second: np.ndarray, bound_second: int, *, what: str = "key"
-) -> np.ndarray:
-    """``first * bound_second + second`` as int64, with width validation.
-
-    Both id arrays must be non-negative and ``second`` must be strictly
-    below ``bound_second``; violations raise :class:`IndexWidthError` naming
-    the offending value instead of silently wrapping (the int64 analogue of
-    ``pack_key``'s Eq.-5 field checks).
-    """
-    first = np.asarray(first, dtype=np.int64)
-    second = np.asarray(second, dtype=np.int64)
-    if first.shape != second.shape:
-        raise ValueError("first and second must have identical shapes")
-    bound_second = int(bound_second)
-    if first.size == 0:
-        return np.empty(0, dtype=np.int64)
-    fmin, fmax = int(first.min()), int(first.max())
-    smin, smax = int(second.min()), int(second.max())
-    if fmin < 0 or smin < 0:
-        raise IndexWidthError(
-            f"{what}: negative ids cannot be combined "
-            f"(min first={fmin}, min second={smin})"
-        )
-    if smax >= bound_second:
-        raise IndexWidthError(
-            f"{what}: second id {smax} is out of range for bound "
-            f"{bound_second}; the combined key would alias another pair"
-        )
-    check_combined_width(fmax + 1, bound_second, what=what)
-    return first * np.int64(bound_second) + second
-
-
-def split_keys(keys: np.ndarray, bound_second: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`combine_keys`."""
-    keys = np.asarray(keys, dtype=np.int64)
-    bound = np.int64(int(bound_second))
-    return keys // bound, keys % bound
 
 
 def segment_coalesce(
@@ -168,6 +125,54 @@ def coalesce_with_order(
 _RADIX16_BOUND = 1 << 16
 
 
+def pair_order(
+    first: np.ndarray,
+    second: np.ndarray,
+    num_first: int,
+    num_second: int,
+    *,
+    first_u16: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """Stable permutation sorting ``(first, second)`` pairs ascending.
+
+    The strategy is chosen by id range instead of always paying a 64-bit
+    comparison sort:
+
+    * **dense** -- when ``num_first * num_second`` is within a few passes of
+      the record count, a bincount straight into the dense pair grid needs
+      no sort at all: returns ``None`` (:func:`coalesce_pairs` then bins);
+    * **radix** -- when both coordinates fit 16 bits, two stable uint16
+      argsorts (numpy's radix path) replace the combined int64 argsort
+      (numpy's comparison path), LSD-style: sort by ``second``, then stably
+      by ``first``;
+    * **fallback** -- the combined-key stable argsort, with the int64 width
+      check.
+
+    ``first_u16`` optionally supplies a pre-cast uint16 copy of ``first``
+    for the radix path (callers whose ``first`` column is static across many
+    sorts can pay the cast once); ``second`` may itself be passed as a
+    narrow unsigned dtype to skip its cast the same way.
+    """
+    first = np.asarray(first).ravel()
+    second = np.asarray(second).ravel()
+    num_first = int(num_first)
+    num_second = int(num_second)
+    bins = num_first * num_second
+    if 0 < bins <= max(1 << 16, 8 * first.size):
+        return None
+    if num_first <= _RADIX16_BOUND and num_second <= _RADIX16_BOUND:
+        s16 = second if second.dtype == np.uint16 else second.astype(np.uint16)
+        f16 = first_u16 if first_u16 is not None else (
+            first if first.dtype == np.uint16 else first.astype(np.uint16)
+        )
+        p = np.argsort(s16, kind="stable")
+        return p[np.argsort(f16[p], kind="stable")]
+    check_combined_width(num_first, num_second, what="pair coalesce key")
+    return np.argsort(
+        first.astype(np.int64) * np.int64(num_second) + second, kind="stable"
+    )
+
+
 def coalesce_pairs(
     first: np.ndarray,
     second: np.ndarray,
@@ -182,76 +187,28 @@ def coalesce_pairs(
     Returns ``(first_u, second_u, sums)`` sorted ascending by ``(first,
     second)``.  Output is *identical* to ``segment_coalesce(first * num_second
     + second, weights)`` split back into coordinates -- the sums always fold
-    in arrival order via ``np.bincount`` -- but the grouping strategy is
-    chosen by id range instead of always paying a 64-bit comparison sort:
-
-    * **dense** -- when ``num_first * num_second`` is within a few passes of
-      the record count, bincount straight into the dense pair grid; bin
-      order is pair order, so no sort happens at all;
-    * **radix** -- when both coordinates fit 16 bits, two stable uint16
-      argsorts (numpy's radix path) replace the combined int64 argsort
-      (numpy's comparison path), LSD-style: sort by ``second``, then stably
-      by ``first``;
-    * **fallback** -- the combined-key stable argsort, with the int64 width
-      check.
-
-    ``first_u16`` optionally supplies a pre-cast uint16 copy of ``first``
-    for the radix path (callers whose ``first`` column is static across many
-    coalesces can pay the cast once); ``second`` may itself be passed as a
-    narrow unsigned dtype to skip its cast the same way.
+    in arrival order via ``np.bincount`` -- but the grouping comes from
+    :func:`pair_order` (``first_u16`` is passed through to it).
     """
     first = np.asarray(first).ravel()
     second = np.asarray(second).ravel()
     weights = np.asarray(weights, dtype=np.float64).ravel()
     if first.shape != second.shape or first.shape != weights.shape:
         raise ValueError("first, second and weights must have the same length")
-    num_first = int(num_first)
     num_second = int(num_second)
-    n = first.size
-    if n == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-
-    bins = num_first * num_second
-    if 0 < bins <= max(1 << 16, 8 * n):
-        keys = first.astype(np.int64) * np.int64(num_second) + second
-        counts = np.bincount(keys, minlength=bins)
-        nz = np.flatnonzero(counts)
-        sums = np.bincount(keys, weights=weights, minlength=bins)[nz]
-        f = nz // num_second
-        return f, nz - f * num_second, sums
-
-    if num_first <= _RADIX16_BOUND and num_second <= _RADIX16_BOUND:
-        s16 = second if second.dtype == np.uint16 else second.astype(np.uint16)
-        f16 = first_u16 if first_u16 is not None else (
-            first if first.dtype == np.uint16 else first.astype(np.uint16)
-        )
-        p = np.argsort(s16, kind="stable")
-        order = p[np.argsort(f16[p], kind="stable")]
-        # Boundary scan in 16-bit space: half the gather/compare traffic.
-        sf, ss = f16[order], s16[order]
-    else:
-        check_combined_width(num_first, num_second, what="pair coalesce key")
-        order = np.argsort(
-            first.astype(np.int64) * np.int64(num_second) + second,
-            kind="stable",
-        )
-        sf, ss = first[order], second[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.logical_or(sf[1:] != sf[:-1], ss[1:] != ss[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    gid = np.cumsum(new)
-    gid -= 1
-    inv = np.empty(n, dtype=np.int64)
-    inv[order] = gid
-    sums = np.bincount(inv, weights=weights, minlength=starts.size)
-    sel = order[starts]
-    return (
-        first[sel].astype(np.int64, copy=False),
-        second[sel].astype(np.int64, copy=False),
-        sums,
+    order = pair_order(
+        first, second, num_first, num_second, first_u16=first_u16
     )
+    keys = first.astype(np.int64) * np.int64(num_second) + second
+    if order is None:
+        # Dense grid: bin order is pair order.
+        bins = int(num_first) * num_second
+        ukeys = np.flatnonzero(np.bincount(keys, minlength=bins))
+        sums = np.bincount(keys, weights=weights, minlength=bins)[ukeys]
+    else:
+        ukeys, sums = coalesce_with_order(keys, order, weights)
+    f = ukeys // num_second
+    return f, ukeys - f * num_second, sums
 
 
 def segment_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -265,28 +222,26 @@ def segment_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def group_by_rank(
-    dest: np.ndarray, num_ranks: int, *cols: np.ndarray
+def group_by_destination(
+    box: tuple[np.ndarray, ...], num_ranks: int
 ) -> list[tuple[np.ndarray, ...]]:
-    """Split record columns into per-destination-rank batches.
+    """Split a ``(dest_ranks, col0, col1, ...)`` outbox into one column tuple
+    per destination rank (empty arrays for silent ranks).
 
-    Returns one column tuple per rank (empty arrays for silent ranks).  The
-    grouping sort is *stable*, so records for one destination keep their
-    arrival order -- the same order ``MessageBus.exchange`` would deliver
-    them -- which makes pregrouped and on-the-fly exchanges byte-identical.
+    The grouping sort is *stable*, so records for one destination keep their
+    send order -- which makes a caller-pregrouped exchange byte-identical to
+    one the bus groups on the fly.
     """
-    dest = np.asarray(dest, dtype=np.int64)
-    num_ranks = int(num_ranks)
-    if dest.size and (int(dest.min()) < 0 or int(dest.max()) >= num_ranks):
+    dest = np.asarray(box[0], dtype=np.int64)
+    cols = [np.asarray(col) for col in box[1:]]
+    for col in cols:
+        if col.shape[0] != dest.shape[0]:
+            raise ValueError("columns must match dest length")
+    if dest.size and (dest.min() < 0 or dest.max() >= num_ranks):
         raise ValueError("destination rank out of range")
     order = np.argsort(dest, kind="stable")
-    sorted_dest = dest[order]
-    boundaries = np.searchsorted(
-        sorted_dest, np.arange(num_ranks + 1, dtype=np.int64)
-    )
-    out: list[tuple[np.ndarray, ...]] = []
-    for r in range(num_ranks):
-        a, b = int(boundaries[r]), int(boundaries[r + 1])
-        idx = order[a:b]
-        out.append(tuple(np.asarray(col)[idx] for col in cols))
-    return out
+    bounds = np.searchsorted(
+        dest[order], np.arange(num_ranks + 1, dtype=np.int64)
+    ).tolist()
+    cols = [col[order] for col in cols]
+    return [tuple(col[a:b] for col in cols) for a, b in zip(bounds, bounds[1:])]

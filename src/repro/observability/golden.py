@@ -552,9 +552,9 @@ def run_spec(
     ``execution`` ("simulated" or "process") selects the runtime for the
     parallel-family benchmarks (``algorithm="parallel"`` and the dynamic
     warm-start specs); sequential and naive runs ignore it, the same way
-    they ignore ``backend``.  ``execution="process"`` implies
-    ``backend="vector"`` unless a backend was given explicitly, and
-    comparing a process re-run against the recorded goldens at zero
+    they ignore ``backend``.  ``execution="process"`` runs the vector
+    backend unless a backend was given explicitly (the config's default),
+    and comparing a process re-run against the recorded goldens at zero
     tolerance is the SPMD-equivalence gate for the multi-process runtime.
     """
     from ..parallel import ExponentialSchedule, detect_communities
@@ -570,8 +570,6 @@ def run_spec(
         backend_kwargs["backend"] = backend
     if execution is not None and parallel_family:
         backend_kwargs["execution"] = execution
-        if execution == "process":
-            backend_kwargs.setdefault("backend", "vector")
     graph = spec.build_graph()
     tracer = Tracer(sink=sink, buffer=sink is None)
     if spec.dynamic is not None:

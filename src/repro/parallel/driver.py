@@ -155,15 +155,10 @@ def detect_communities(
 
     if algorithm not in ("parallel", "naive"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if config_overrides.get("execution") == "process":
-        if algorithm != "parallel":
-            raise TypeError(
-                "execution='process' is only supported for algorithm='parallel'"
-            )
-        # Process mode requires flat CSR rank state; pick the vector backend
-        # unless the caller chose one explicitly (a bad explicit choice gets
-        # the config's own descriptive error).
-        config_overrides.setdefault("backend", "vector")
+    if config_overrides.get("execution") == "process" and algorithm != "parallel":
+        raise TypeError(
+            "execution='process' is only supported for algorithm='parallel'"
+        )
     cfg = ParallelLouvainConfig(
         num_ranks=num_ranks,
         schedule=schedule if schedule is not None else ExponentialSchedule(),

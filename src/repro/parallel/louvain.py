@@ -51,6 +51,13 @@ __all__ = [
     "parallel_louvain",
 ]
 
+#: REFINE stops once an iteration gains less modularity than this.
+_INNER_TOL = 1e-6
+#: The outer loop stops once a level gains no more modularity than this.
+_OUTER_TOL = 1e-6
+#: A vertex moves only on a best gain above this.
+_MIN_GAIN = 1e-12
+
 
 @dataclass(frozen=True)
 class ParallelLouvainConfig:
@@ -61,10 +68,7 @@ class ParallelLouvainConfig:
     #: of Fig. 4 -- every positive-gain vertex moves every iteration).
     schedule: ThresholdSchedule | None = field(default_factory=ExponentialSchedule)
     max_inner: int = 64
-    inner_tol: float = 1e-6
     max_levels: int = 32
-    outer_tol: float = 1e-6
-    min_gain: float = 1e-12
     hash_function: str = "fibonacci"
     load_factor: float = 0.25  # the paper's speed/memory compromise (§V-C2)
     key_shift: int = 32
@@ -75,8 +79,9 @@ class ParallelLouvainConfig:
     #: Execution backend: ``"hash"`` is the paper-faithful EdgeHashTable
     #: path; ``"vector"`` runs the same supersteps over flat CSR arrays
     #: (:mod:`repro.parallel.vectorized`), converging identically but an
-    #: order of magnitude faster.
-    backend: str = "hash"
+    #: order of magnitude faster.  ``None`` resolves to ``"vector"`` under
+    #: process execution and to ``"hash"`` otherwise.
+    backend: str | None = None
     #: Execution mode: ``"simulated"`` runs every rank in this process over
     #: the simulated bus (the vector backend's per-rank compute on executor
     #: threads on large levels, see ``Simulation.map_ranks``); ``"process"``
@@ -91,6 +96,9 @@ class ParallelLouvainConfig:
             raise ValueError("need at least one rank")
         if self.max_inner < 1 or self.max_levels < 1:
             raise ValueError("iteration limits must be positive")
+        if self.backend is None:
+            backend = "vector" if self.execution == "process" else "hash"
+            object.__setattr__(self, "backend", backend)
         if self.backend not in ("hash", "vector"):
             raise ValueError(
                 f"unknown backend {self.backend!r}; choose 'hash' "
@@ -411,7 +419,6 @@ def _apply_moves(
     best_gain: list[np.ndarray],
     best_comm: list[np.ndarray],
     dq_hat: float,
-    min_gain: float,
 ) -> int:
     """Algorithm 4 lines 13-15: move thresholded vertices, update Σ_tot."""
     bus = sim.bus
@@ -419,7 +426,7 @@ def _apply_moves(
     outboxes = []
     moved_counts = []
     for st, mu, chat in zip(ranks, best_gain, best_comm):
-        movers = np.flatnonzero((mu > dq_hat) & (mu > min_gain) & (chat != st.community))
+        movers = np.flatnonzero((mu > dq_hat) & (mu > _MIN_GAIN) & (chat != st.community))
         moved_counts.append(int(movers.size))
         prof.add_ops(st.rank, movers.size)
         old_c = st.community[movers]
@@ -872,8 +879,7 @@ def _louvain_core(
                     )
                 with sim.phase("UPDATE"):
                     moved = _apply_moves(
-                        sim, partition, ranks, best_gain, best_comm,
-                        dq_hat, config.min_gain,
+                        sim, partition, ranks, best_gain, best_comm, dq_hat
                     )
                 with sim.phase("STATE_PROPAGATION"):
                     backend.state_propagation(sim, partition, ranks)
@@ -914,7 +920,7 @@ def _louvain_core(
                     )
                 if moved == 0:
                     break
-                if q - prev_q < config.inner_tol and prev_q > -1.0:
+                if q - prev_q < _INNER_TOL and prev_q > -1.0:
                     break
                 prev_q = q
             sim.profiler.iteration = 0
@@ -936,7 +942,7 @@ def _louvain_core(
                 ).copy()
             break
 
-        if q - prev_level_q <= config.outer_tol and level_labels:
+        if q - prev_level_q <= _OUTER_TOL and level_labels:
             break
 
         level_entries = int(
@@ -981,7 +987,7 @@ def _louvain_core(
         )
         membership = labels[membership]
 
-        if q - prev_level_q <= config.outer_tol:
+        if q - prev_level_q <= _OUTER_TOL:
             break
         prev_level_q = q
         level_start_q = q  # contraction preserves Q exactly

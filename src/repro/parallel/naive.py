@@ -4,8 +4,8 @@ Identical to :func:`repro.parallel.louvain.parallel_louvain` except that the
 migration throttle is disabled: every vertex with a strictly positive best
 gain moves every inner iteration.  With stale community views this produces
 the chaotic oscillation the paper describes ("the basic parallel version
-converges very slowly, if at all ... with a very low modularity score"), so a
-conservative iteration cap keeps runs bounded.
+converges very slowly, if at all ... with a very low modularity score");
+``max_inner`` keeps runs bounded.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ def naive_parallel_louvain(
 ) -> ParallelLouvainResult:
     """Run parallel Louvain with the convergence heuristic disabled."""
     if config is None:
-        kwargs.setdefault("max_inner", 32)
         config = ParallelLouvainConfig(**kwargs)
     elif kwargs:
         raise TypeError("pass either config or keyword overrides, not both")

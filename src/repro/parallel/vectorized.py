@@ -7,11 +7,13 @@ instances and pays per-record probe chains, this backend keeps
 
 * the local adjacency as flat **CSR-style arrays** ``(in_v, in_ul, in_w)``
   -- one coalesced in-edge ``(v -> u)`` per row, with ``u`` owned locally --
-  pregrouped once per level into per-destination-rank batches for the
-  STATE PROPAGATION alltoallv (``MessageBus.exchange_grouped``);
+  grouped once per level into per-destination-rank batches
+  (:func:`repro.kernels.group_by_destination`) for the STATE PROPAGATION
+  alltoallv (``exchange_grouped``);
 * the Out_Table as sorted segment arrays ``(out_ul, out_c, out_w)`` rebuilt
-  each superstep by one stable argsort + ``np.bincount`` coalesce
-  (:func:`repro.kernels.segment_coalesce`);
+  each superstep by one stable sort (:func:`repro.kernels.pair_order`, or a
+  warm start from the previous superstep's order) + ``np.bincount``
+  coalesce (:func:`repro.kernels.coalesce_with_order`);
 * community ``sigma_tot`` / size replicas as **dense vectors** indexed by
   community id, replacing per-lookup ``searchsorted`` probes;
 * the Eq.-4 gain scan and best-move selection as segment reductions
@@ -38,7 +40,8 @@ from ..kernels import (
     check_combined_width,
     coalesce_pairs,
     coalesce_with_order,
-    group_by_rank,
+    group_by_destination,
+    pair_order,
     segment_coalesce,
     segment_starts,
 )
@@ -173,12 +176,14 @@ class _VectorRankState:
         # Ship the destination-local index of v instead of its global id:
         # same 8-byte word on the wire, but the receiver can key its
         # Out_Table coalesce directly without a to_local pass.
-        self.send_parts = group_by_rank(
-            partition.owner(self.in_v),
+        self.send_parts = group_by_destination(
+            (
+                partition.owner(self.in_v),
+                partition.to_local(self.in_v),
+                self.in_ul,
+                self.in_w,
+            ),
             partition.num_ranks,
-            partition.to_local(self.in_v),
-            self.in_ul,
-            self.in_w,
         )
         self.rep_tot = np.zeros(self.n_level, dtype=np.float64)
         self.rep_size = np.zeros(self.n_level, dtype=np.int64)
@@ -246,77 +251,51 @@ def _rebuild_out_table(st: _VectorRankState, inbox, static_inbox: bool) -> int:
                 st.prop_ul16 = st.prop_ul.astype(np.uint16)
         ul = st.prop_ul
         ul16 = st.prop_ul16
+        key = st.prop_key_base + c_in
     else:
         ul = np.asarray(vl_in, dtype=np.int64)
         ul16 = None
+        key = ul * n + c_in
     # The distinct community labels seen on in-edges double as the
     # sigma-fetch want set (distinct out_c == distinct c_in), so the flag
-    # scan here is not wasted work even on the sort fallback.
+    # scan here is not wasted work even on the sort paths.
     flags = np.zeros(n_level, dtype=bool)
     flags[c_in] = True
     st.sigma_flags = flags
-    cids = np.flatnonzero(flags)
-    k = int(cids.size)
+    order = None
     # Warm start: the Eq.-7 throttle means most sources keep their community
     # between iterations, so most (u_local, c) keys are unchanged.
     # Re-sorting through the previous permutation is then nearly sorted --
     # the stable sort degenerates to a linear merge -- and any valid ordering
     # gives bit-identical groups (sums fold in arrival order regardless).
-    done = False
     if static_inbox and st.prev_order is not None:
-        key = st.prop_key_base + c_in
         churn = int(np.count_nonzero(key != st.prev_key))
         if churn * 8 <= key.size:
-            g = key[st.prev_order]
-            order = st.prev_order[np.argsort(g, kind="stable")]
-            ukeys, sums = coalesce_with_order(key, order, w_in)
-            st.out_ul = ukeys // n
-            st.out_c = ukeys - st.out_ul * n
-            st.out_w = sums
-            st.prev_key = key
-            st.prev_order = order
-            done = True
-    if not done and k:
-        # Remap the k live community labels to compact ids, then grade the
-        # grouping strategy (dense grid / 16-bit radix / combined-key sort);
-        # ``cids`` is ascending, so compact order is label order and
-        # ``cids[...]`` restores labels.
+            order = st.prev_order[np.argsort(key[st.prev_order], kind="stable")]
+    if order is None:
+        # Remap the k live community labels to compact ids so the pair
+        # order can grade its strategy (dense grid / 16-bit radix /
+        # combined-key sort) by the live id range; ``cids`` is ascending,
+        # so compact order is label order and ``cids[...]`` restores labels.
+        cids = np.flatnonzero(flags)
+        k = int(cids.size)
         dtype = np.uint16 if k <= 1 << 16 else np.int64
         lut = np.empty(n_level, dtype=dtype)
         lut[cids] = np.arange(k, dtype=dtype)
         cc = lut[c_in]
-        bins = n_local * k
-        order = None
-        if 0 < bins <= max(1 << 16, 8 * ul.size):
-            out_ul, ccu, sums = coalesce_pairs(ul, cc, n_local, k, w_in)
-        elif n_local <= 1 << 16 and k <= 1 << 16:
-            c16 = cc if cc.dtype == np.uint16 else cc.astype(np.uint16)
-            u16 = ul16 if ul16 is not None else ul.astype(np.uint16)
-            p = np.argsort(c16, kind="stable")
-            order = p[np.argsort(u16[p], kind="stable")]
-        else:
-            order = np.argsort(ul * np.int64(k) + cc, kind="stable")
+        order = pair_order(ul, cc, n_local, k, first_u16=ul16)
         if order is None:
-            st.out_ul = out_ul
+            # Dense grid: no sort, so nothing to warm-start from.
+            st.out_ul, ccu, st.out_w = coalesce_pairs(ul, cc, n_local, k, w_in)
             st.out_c = cids[ccu]
-            st.out_w = sums
             st.prev_key = None
             st.prev_order = None
-        else:
-            key = st.prop_key_base + c_in if static_inbox else ul * n + c_in
-            ukeys, sums = coalesce_with_order(key, order, w_in)
-            st.out_ul = ukeys // n
-            st.out_c = ukeys - st.out_ul * n
-            st.out_w = sums
-            if static_inbox:
-                st.prev_key = key
-                st.prev_order = order
-        done = True
-    if not done:
-        keys, sums = segment_coalesce(ul * n + c_in, w_in)
-        st.out_ul = keys // n
-        st.out_c = keys - st.out_ul * n
-        st.out_w = sums
+    if order is not None:
+        ukeys, st.out_w = coalesce_with_order(key, order, w_in)
+        st.out_ul = ukeys // n
+        st.out_c = ukeys - st.out_ul * n
+        st.prev_key = key
+        st.prev_order = order
     starts = segment_starts(st.out_ul)
     st.out_starts = starts
     seg = np.zeros(st.out_ul.size, dtype=np.int32)
@@ -328,54 +307,54 @@ def _rebuild_out_table(st: _VectorRankState, inbox, static_inbox: bool) -> int:
     return int(ul.size)
 
 
-def _sigma_request(
-    st: _VectorRankState, partition: ModuloPartition, grouped: bool
-):
-    """Sigma fetch, first superstep: the communities this rank must read."""
+def _sigma_request(st: _VectorRankState, partition: ModuloPartition):
+    """Sigma fetch, first superstep: the communities this rank must read.
+
+    Split per owner straight off the flag array: owner(c) = c mod P, so the
+    wanted ids for destination ``d`` are the set flags at positions ``d::P``.
+    """
     num_ranks = partition.num_ranks
     # sigma_flags already marks distinct(out_c); add home labels.
     flags = st.sigma_flags
     flags[st.community] = True
-    if grouped:
-        parts = []
-        for d in range(num_ranks):
-            wd = np.flatnonzero(flags[d::num_ranks])
-            wd *= num_ranks
-            wd += d
-            parts.append((wd, np.full(wd.size, st.rank, dtype=np.int64)))
-        return parts
-    want = np.flatnonzero(flags)
-    dest = partition.owner(want)
-    requester = np.full(want.size, st.rank, dtype=np.int64)
-    return (dest, want, requester)
+    parts = []
+    for d in range(num_ranks):
+        wd = np.flatnonzero(flags[d::num_ranks])
+        wd *= num_ranks
+        wd += d
+        parts.append((wd, np.full(wd.size, st.rank, dtype=np.int64)))
+    return parts
 
 
 def _sigma_reply(
-    st: _VectorRankState, inbox, partition: ModuloPartition, grouped: bool
+    st: _VectorRankState, inbox, partition: ModuloPartition, in_order: bool
 ):
     """Sigma fetch, second superstep: answer requests for owned communities.
+
+    An in-order inbox concatenates per-source parts in rank order, so its
+    requester column is sorted and splits by ``searchsorted``; failure
+    injection permutes inboxes, and then the reply is regrouped.
 
     Returns ``(reply, records_answered)``.
     """
     num_ranks = partition.num_ranks
     c_req, who = inbox
     c_req = np.asarray(c_req, dtype=np.int64)
+    who = np.asarray(who, dtype=np.int64)
     local = partition.to_local(c_req)
     vals = st.tot[local] if c_req.size else np.empty(0)
     sizes = st.size[local] if c_req.size else np.empty(0, dtype=np.int64)
-    if grouped:
-        who = np.asarray(who, dtype=np.int64)
-        bounds = np.searchsorted(who, np.arange(num_ranks + 1, dtype=np.int64))
-        reply = [
-            (
-                c_req[bounds[d]:bounds[d + 1]],
-                vals[bounds[d]:bounds[d + 1]],
-                sizes[bounds[d]:bounds[d + 1]],
-            )
-            for d in range(num_ranks)
-        ]
+    if not in_order:
+        reply = group_by_destination((who, c_req, vals, sizes), num_ranks)
         return reply, int(c_req.size)
-    return (np.asarray(who, dtype=np.int64), c_req, vals, sizes), int(c_req.size)
+    bounds = np.searchsorted(
+        who, np.arange(num_ranks + 1, dtype=np.int64)
+    ).tolist()
+    reply = [
+        (c_req[a:b], vals[a:b], sizes[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    return reply, int(c_req.size)
 
 
 def _store_sigma(st: _VectorRankState, inbox) -> None:
@@ -593,33 +572,25 @@ class VectorBackend:
         """Dense-replica refresh; same two supersteps and request sets as
         the hash path's ``_fetch_sigma_tot`` (the flag-array scan yields the
         same ascending distinct-community set ``np.unique`` would).
-
-        Both exchanges normally run pregrouped: requests split per
-        destination straight off the flag array (owner(c) = c mod P, so the
-        wanted ids for destination ``d`` are the set flags at positions
-        ``d::P``), and replies arrive already grouped by requester because
-        each inbox concatenates per-source parts in rank order.  Failure
-        injection permutes inboxes, which breaks the second property -- with
-        ``reorder_rng`` armed we fall back to the plain argsort exchange
-        (identical records, just regrouped on the fly).
         """
         bus = sim.bus
         prof = sim.profiler
-        grouped = bus.reorder_rng is None
-        exchange = bus.exchange_grouped if grouped else bus.exchange
+        in_order = bus.reorder_rng is None
         work = _level_work(ranks)
         requests = sim.map_ranks(
-            lambda st: _sigma_request(st, partition, grouped), ranks, work=work
+            lambda st: _sigma_request(st, partition), ranks, work=work
         )
-        got = exchange(requests)
+        got = bus.exchange_grouped(requests)
         answered = sim.map_ranks(
-            lambda st: _sigma_reply(st, got.inbox(st.rank), partition, grouped),
+            lambda st: _sigma_reply(
+                st, got.inbox(st.rank), partition, in_order
+            ),
             ranks,
             work=work,
         )
         for st, (_, ops) in zip(ranks, answered):
             prof.add_ops(st.rank, ops)
-        back = exchange([reply for reply, _ in answered])
+        back = bus.exchange_grouped([reply for reply, _ in answered])
         sim.map_ranks(
             lambda st: _store_sigma(st, back.inbox(st.rank)), ranks, work=work
         )

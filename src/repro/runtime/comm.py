@@ -17,38 +17,59 @@ over records.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..analysis.sanitizer import NULL_SANITIZER, Sanitizer
+from ..kernels import group_by_destination
 from .profiler import PhaseProfiler
 
-__all__ = ["ExchangeResult", "MessageBus"]
+__all__ = ["ExchangeResult", "MessageBus", "charge_superstep"]
 
 #: Modeled wire size of one record column element (8-byte word).
 _BYTES_PER_WORD = 8
 
 
-def group_by_destination(
-    box: tuple[np.ndarray, ...], num_ranks: int
-) -> list[tuple[np.ndarray, ...]]:
-    """Split a ``(dest_ranks, col0, col1, ...)`` outbox into one column tuple
-    per destination rank; the stable argsort keeps each destination's
-    records in send order."""
-    dest = np.asarray(box[0], dtype=np.int64)
-    cols = [np.asarray(col) for col in box[1:]]
-    for col in cols:
-        if col.shape[0] != dest.shape[0]:
-            raise ValueError("columns must match dest length")
-    if dest.size and (dest.min() < 0 or dest.max() >= num_ranks):
-        raise ValueError("destination rank out of range")
-    order = np.argsort(dest, kind="stable")
-    bounds = np.searchsorted(
-        dest[order], np.arange(num_ranks + 1, dtype=np.int64)
-    ).tolist()
-    cols = [col[order] for col in cols]
-    return [tuple(col[a:b] for col in cols) for a, b in zip(bounds, bounds[1:])]
+def charge_superstep(
+    profiler: PhaseProfiler | None,
+    counts: np.ndarray,
+    arity: int,
+    senders: Iterable[int],
+) -> None:
+    """Charge one alltoallv superstep from its P x P record-count matrix.
+
+    ``counts[src, dst]`` is the number of records ``src`` sent to ``dst``,
+    each ``arity`` modeled words wide.  Every rank in ``senders`` is charged
+    its records, bytes and messages (destinations touched) -- the simulated
+    bus charges every rank, a process-mode worker only its own -- the
+    superstep is counted once, and a live tracer gets one ``superstep``
+    event with the global volumes.
+    """
+    if profiler is None:
+        return
+    per_rank = counts.sum(axis=1)
+    for src in senders:
+        records = int(per_rank[src])
+        if records:
+            profiler.add_send(
+                src,
+                records=records,
+                nbytes=records * arity * _BYTES_PER_WORD,
+                messages=int(np.count_nonzero(counts[src])),
+            )
+    profiler.add_superstep()
+    tracer = profiler.tracer
+    if tracer is not None and tracer.enabled:
+        records = int(per_rank.sum())
+        tracer.superstep(
+            profiler.current_phase,
+            records=records,
+            nbytes=records * arity * _BYTES_PER_WORD,
+            messages=int(np.count_nonzero(counts)),
+            per_rank_records=per_rank.tolist(),
+        )
 
 
 @dataclass
@@ -157,21 +178,13 @@ class MessageBus:
             empty = (np.empty(0, dtype=np.int64),)
             return ExchangeResult(columns=[empty] * self.num_ranks)
 
-        tracer = self.profiler.tracer if self.profiler is not None else None
-        tracing = tracer is not None and tracer.enabled
-        if tracing:
-            sent_records = [0] * self.num_ranks
-            sent_bytes = 0
-            sent_messages = 0
-
+        counts = np.zeros((self.num_ranks, self.num_ranks), dtype=np.int64)
         per_dest_parts: list[list[tuple[np.ndarray, ...]]] = [
             [] for _ in range(self.num_ranks)
         ]
         for src, box in enumerate(outboxes):
             if box is None:
                 continue
-            records = 0
-            touched = 0
             for d, part in enumerate(box):
                 if len(part) != arity:
                     raise ValueError("all outboxes must have the same arity")
@@ -182,19 +195,7 @@ class MessageBus:
                 if n == 0:
                     continue
                 per_dest_parts[d].append(part)
-                records += n
-                touched += 1
-            if records and self.profiler is not None:
-                self.profiler.add_send(
-                    src,
-                    records=records,
-                    nbytes=records * arity * _BYTES_PER_WORD,
-                    messages=touched,
-                )
-            if tracing:
-                sent_records[src] += records
-                sent_bytes += records * arity * _BYTES_PER_WORD
-                sent_messages += touched
+                counts[src, d] = n
 
         inboxes: list[tuple[np.ndarray, ...]] = []
         for d in range(self.num_ranks):
@@ -209,16 +210,7 @@ class MessageBus:
                 perm = self.reorder_rng.permutation(cols[0].size)
                 cols = tuple(c[perm] for c in cols)
             inboxes.append(cols)
-        if self.profiler is not None:
-            self.profiler.add_superstep()
-        if tracing:
-            tracer.superstep(
-                self.profiler.current_phase,
-                records=sum(sent_records),
-                nbytes=sent_bytes,
-                messages=sent_messages,
-                per_rank_records=sent_records,
-            )
+        charge_superstep(self.profiler, counts, arity, range(self.num_ranks))
         return ExchangeResult(columns=inboxes)
 
     # -------------------------------------------------------------- #

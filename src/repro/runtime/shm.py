@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.sanitizer import NULL_SANITIZER, Sanitizer
-from .comm import group_by_destination
+from ..kernels import group_by_destination
+from .comm import charge_superstep
 from .profiler import PhaseProfiler
 
 __all__ = [
@@ -132,9 +133,6 @@ class ShmBlock:
         except OSError:
             pass
 
-#: Modeled wire size of one record word (matches the simulated bus).
-_BYTES_PER_WORD = 8
-
 _DTYPE_NAMES = (
     "int64", "float64", "int32", "uint16", "bool", "int8", "uint8",
     "int16", "uint32", "uint64", "float32",
@@ -144,8 +142,7 @@ _CODE_DTYPE = tuple(np.dtype(name) for name in _DTYPE_NAMES)
 _ITEMSIZE = np.array([dt.itemsize for dt in _CODE_DTYPE], dtype=np.int64)
 
 # Operation kind codes (header word W_KIND; divergence guard).
-_K_EXCHANGE = 1
-_K_GROUPED = 2
+_K_ALLTOALLV = 1
 _K_SUM = 3
 _K_MAX = 4
 _K_GATHER = 5
@@ -545,21 +542,17 @@ class SharedMemoryBus:
     def exchange(self, outboxes: list) -> _LocalExchangeResult:
         """One alltoallv superstep from this rank's ungrouped outbox."""
         box = self._single(outboxes, "outbox")
-        parts: list[tuple[np.ndarray, ...]] | None = None
-        arity = -1
-        if box is not None and len(box) >= 2:
-            arity = len(box) - 1
-            parts = group_by_destination(box, self.num_ranks)
-        return self._exchange_common(
-            parts, arity, participating=box is not None, kind=_K_EXCHANGE
+        return self.exchange_grouped(
+            [None if box is None else group_by_destination(box, self.num_ranks)]
         )
 
     def exchange_grouped(self, outboxes: list) -> _LocalExchangeResult:
         """One alltoallv superstep from caller-pregrouped per-dest parts."""
         box = self._single(outboxes, "outbox")
+        participating = box is not None
         parts: list[tuple[np.ndarray, ...]] | None = None
         arity = -1
-        if box is not None:
+        if participating:
             if len(box) != self.num_ranks:
                 raise ValueError("grouped outbox must list every destination")
             for part in box:
@@ -572,18 +565,6 @@ class SharedMemoryBus:
                 for col in part[1:]:
                     if col.shape[0] != n:
                         raise ValueError("columns must match part length")
-        return self._exchange_common(
-            parts, arity, participating=box is not None, kind=_K_GROUPED
-        )
-
-    def _exchange_common(
-        self,
-        parts: list[tuple[np.ndarray, ...]] | None,
-        arity: int,
-        *,
-        participating: bool,
-        kind: int,
-    ) -> _LocalExchangeResult:
         P = self.num_ranks
         me = self.rank
         self._op += 1
@@ -594,7 +575,7 @@ class SharedMemoryBus:
         counts = np.zeros(P, dtype=np.int64)
         codes = np.zeros((P, _MAX_COLS), dtype=np.int64)
         total = 0
-        if participating and parts is not None and arity >= 1:
+        if parts is not None and arity >= 1:
             for d, part in enumerate(parts):
                 if len(part) != arity:
                     raise ValueError("all outboxes must have the same arity")
@@ -624,7 +605,7 @@ class SharedMemoryBus:
             self.bytes_moved += total
 
         row[_W_SEQ] = self._op
-        row[_W_KIND] = kind
+        row[_W_KIND] = _K_ALLTOALLV
         row[_W_PART] = 1 if participating else 0
         row[_W_ARITY] = arity
         row[_W_GEN] = gen
@@ -634,7 +615,7 @@ class SharedMemoryBus:
         self._sync()
 
         rows = [self._row(r, slot) for r in range(P)]
-        self._check_lockstep(slot, kind)
+        self._check_lockstep(slot, _K_ALLTOALLV)
         flags = [bool(rows[r][_W_PART]) for r in range(P)]
         if self.sanitizer.enabled:
             phase = (
@@ -662,16 +643,6 @@ class SharedMemoryBus:
         for r in range(P):
             if flags[r]:
                 cmat[r] = rows[r][_W_COUNTS:_W_COUNTS + P]
-
-        if self.profiler is not None:
-            my_records = int(counts.sum()) if participating else 0
-            if my_records:
-                self.profiler.add_send(
-                    me,
-                    records=my_records,
-                    nbytes=my_records * g_arity * _BYTES_PER_WORD,
-                    messages=int(np.count_nonzero(counts)),
-                )
 
         col_parts: list[list[np.ndarray]] = [[] for _ in range(g_arity)]
         for src in range(P):
@@ -707,18 +678,9 @@ class SharedMemoryBus:
                     if d == me:
                         cols = tuple(c[perm] for c in cols)
 
-        if self.profiler is not None:
-            self.profiler.add_superstep()
-            tracer = self.profiler.tracer
-            if tracer is not None and tracer.enabled:
-                per_rank = [int(cmat[r].sum()) for r in range(P)]
-                tracer.superstep(
-                    self.profiler.current_phase,
-                    records=sum(per_rank),
-                    nbytes=sum(per_rank) * g_arity * _BYTES_PER_WORD,
-                    messages=int(np.count_nonzero(cmat)),
-                    per_rank_records=per_rank,
-                )
+        # Each worker charges its own sends; the count matrix gives every
+        # worker the same global volumes for the superstep event.
+        charge_superstep(self.profiler, cmat, g_arity, (me,))
         return _LocalExchangeResult(me, cols)
 
     # -------------------------------------------------------------- #

@@ -92,11 +92,25 @@ class TransientJobError(RuntimeError):
 _job_ids = itertools.count(1)
 
 
+def _settle(job: "Job", state: str, error: str | None) -> None:
+    """Move ``job`` to terminal ``state`` (queue lock held).
+
+    The payload is dropped: a terminal job never runs again, and its input
+    (a detect job's whole graph) must not outlive it in the job registry.
+    """
+    job.state = state
+    if error is not None:
+        job.error = error
+    job.finished_at = time.time()
+    job.payload = {}
+
+
 @dataclass
 class Job:
     """One unit of service work and its full lifecycle record."""
 
     kind: str  # "detect" (full run) | "update" (edge-batch warm start)
+    #: The job's input; emptied when the job reaches a terminal state.
     payload: dict[str, Any] = field(default_factory=dict, repr=False)
     priority: int = 10
     #: Wall-clock budget for one attempt; None = unlimited.
@@ -212,9 +226,10 @@ class JobQueue:
         """
         with self._lock:
             if self._closed:
-                job.state = JobState.CANCELLED
-                job.error = job.error or "queue closed during retry"
-                job.finished_at = time.time()
+                _settle(
+                    job, JobState.CANCELLED,
+                    job.error or "queue closed during retry",
+                )
                 self._terminal.notify_all()
                 return
             job.state = JobState.PENDING
@@ -238,9 +253,7 @@ class JobQueue:
             if job is None:
                 raise KeyError(f"unknown job {job_id!r}")
             if job.state == JobState.PENDING:
-                job.state = JobState.CANCELLED
-                job.error = "cancelled while queued"
-                job.finished_at = time.time()
+                _settle(job, JobState.CANCELLED, "cancelled while queued")
                 self._pending -= 1
                 job.cancel_event.set()
                 self._terminal.notify_all()
@@ -320,12 +333,9 @@ class JobQueue:
         with self._lock:
             if job.done:
                 return False
-            job.state = state
             if result is not None:
                 job.result = result
-            if error is not None:
-                job.error = error
-            job.finished_at = time.time()
+            _settle(job, state, error)
             self._terminal.notify_all()
             return True
 
@@ -400,9 +410,10 @@ class JobQueue:
             if cancel_pending:
                 for job in self._jobs.values():
                     if job.state == JobState.PENDING:
-                        job.state = JobState.CANCELLED
-                        job.error = "service shut down before the job ran"
-                        job.finished_at = time.time()
+                        _settle(
+                            job, JobState.CANCELLED,
+                            "service shut down before the job ran",
+                        )
                         job.cancel_event.set()
                 self._pending = 0
                 self._ready.clear()

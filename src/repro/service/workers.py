@@ -422,7 +422,7 @@ class DetectionService:
         }
         if options.get("algorithm") == "parallel":
             # The service-wide execution mode applies unless the job chose
-            # its own; the driver picks the vector backend under "process".
+            # its own; the config picks the vector backend under "process".
             options.setdefault("execution", self.execution)
         graph = job.payload["graph"]
         summary = detect_communities(graph, tracer=ctx.tracer, **options)
@@ -455,8 +455,6 @@ class DetectionService:
                 raise  # a named version that is gone will stay gone
             options = dict(job.payload["options"])
             options.setdefault("execution", self.execution)
-            if options["execution"] == "process":
-                options.setdefault("backend", "vector")
             config = ParallelLouvainConfig(
                 num_ranks=options.pop("num_ranks", self.num_ranks), **options
             )

@@ -15,6 +15,7 @@ from repro.analysis import (
 from repro.observability import Tracer
 from repro.observability.events import EventKind
 from repro.parallel import detect_communities, parallel_louvain
+from repro.parallel.vectorized import VectorBackend
 from repro.runtime import Simulation
 from repro.runtime.comm import MessageBus
 
@@ -270,6 +271,73 @@ class TestSanitizedRuns:
         with pytest.raises(InvariantViolation) as ei:
             parallel_louvain(two_cliques, num_ranks=2, sanitize=True)
         assert ei.value.invariant in ("finite-weights", "in-table-immutable")
+
+
+class TestSanitizedVectorRuns:
+    """The same seeded faults, planted in the vector backend's CSR arrays.
+
+    ``_ArrayTableView`` serves the sanitizer's table queries from those
+    arrays, so each fault must trip the invariant it trips on the hash path.
+    """
+
+    def test_seeded_in_table_mutation_raises(self, two_cliques, monkeypatch):
+        real = louvain_mod._apply_moves
+
+        def corrupting(sim, partition, ranks, *args, **kwargs):
+            moved = real(sim, partition, ranks, *args, **kwargs)
+            ranks[0].in_w[0] += 1.0
+            return moved
+
+        monkeypatch.setattr(louvain_mod, "_apply_moves", corrupting)
+        with pytest.raises(InvariantViolation) as ei:
+            parallel_louvain(
+                two_cliques, num_ranks=3, backend="vector", sanitize=True
+            )
+        exc = ei.value
+        assert exc.invariant == "in-table-immutable"
+        assert exc.rank == 0
+        assert exc.level == 0 and exc.iteration == 1
+
+    def test_seeded_reconstruction_weight_loss_raises(
+        self, two_cliques, monkeypatch
+    ):
+        real = VectorBackend.reconstruct
+
+        def lossy(self, sim, partition, ranks, config):
+            new_ranks, new_partition, labels = real(
+                self, sim, partition, ranks, config
+            )
+            state = next(st for st in new_ranks if st.in_w.size)
+            state.in_w[0] = 0.0  # drop one superedge's weight
+            return new_ranks, new_partition, labels
+
+        monkeypatch.setattr(VectorBackend, "reconstruct", lossy)
+        with pytest.raises(InvariantViolation) as ei:
+            parallel_louvain(
+                two_cliques, num_ranks=3, backend="vector", sanitize=True
+            )
+        assert ei.value.invariant == "weight-conservation"
+        assert "RECONSTRUCTION" in ei.value.message
+
+    def test_seeded_nonfinite_weight_raises(self, two_cliques, monkeypatch):
+        import repro.parallel.vectorized as vectorized_mod
+
+        real = vectorized_mod._contraction_outbox
+
+        def poisoning(st, new_ids, new_partition):
+            frag, (dest, src, dst, w) = real(st, new_ids, new_partition)
+            if w.size:
+                w = w.copy()  # the Out_Table itself stays clean
+                w[0] = np.nan
+            return frag, (dest, src, dst, w)
+
+        monkeypatch.setattr(vectorized_mod, "_contraction_outbox", poisoning)
+        with pytest.raises(InvariantViolation) as ei:
+            parallel_louvain(
+                two_cliques, num_ranks=2, backend="vector", sanitize=True
+            )
+        assert ei.value.invariant == "finite-weights"
+        assert "in-edge weights" in ei.value.message
 
 
 class TestSanitizedExtensionPaths:

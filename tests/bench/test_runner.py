@@ -100,6 +100,16 @@ class TestRunMatrix:
         assert cell.timed[0].membership is not None
         assert len(cell.timed[0].membership) == GRAPH["num_vertices"]
 
+    def test_process_cell_without_backend_runs_vector(self):
+        config = tiny_config(
+            repetitions=1, warmup=0, factors={"variant": ["parallel"]}
+        )
+        config.cell["execution"] = "process"
+        [cell] = run_matrix(config, keep_raw=True).cells
+        rep = cell.timed[0]
+        assert rep.raw.config.backend == "vector"
+        assert rep.modularity is not None and rep.modeled_s > 0
+
 
 class TestRunnerErrors:
     def test_work_scale_and_work_edges_conflict(self):

@@ -8,60 +8,11 @@ from repro.kernels import (
     check_combined_width,
     coalesce_pairs,
     coalesce_with_order,
-    combine_keys,
-    group_by_rank,
+    group_by_destination,
+    pair_order,
     segment_coalesce,
     segment_starts,
-    split_keys,
 )
-
-
-class TestCombineKeys:
-    def test_round_trip(self):
-        rng = np.random.default_rng(7)
-        first = rng.integers(0, 10_000, size=500)
-        second = rng.integers(0, 777, size=500)
-        keys = combine_keys(first, second, 777)
-        f, s = split_keys(keys, 777)
-        np.testing.assert_array_equal(f, first)
-        np.testing.assert_array_equal(s, second)
-
-    def test_empty(self):
-        keys = combine_keys(np.empty(0, dtype=np.int64), np.empty(0), 10)
-        assert keys.size == 0 and keys.dtype == np.int64
-
-    def test_distinct_pairs_distinct_keys(self):
-        first = np.array([0, 0, 1, 1])
-        second = np.array([0, 1, 0, 1])
-        keys = combine_keys(first, second, 2)
-        assert len(set(keys.tolist())) == 4
-
-    def test_negative_first_rejected(self):
-        with pytest.raises(IndexWidthError, match="negative"):
-            combine_keys(np.array([-1]), np.array([0]), 10)
-
-    def test_negative_second_rejected(self):
-        with pytest.raises(IndexWidthError, match="negative"):
-            combine_keys(np.array([1]), np.array([-3]), 10)
-
-    def test_second_out_of_bound_rejected(self):
-        with pytest.raises(IndexWidthError, match="out of range"):
-            combine_keys(np.array([1]), np.array([10]), 10)
-
-    def test_int64_overflow_rejected(self):
-        # 2^32 ids on both sides would need 64 bits of key space plus sign.
-        with pytest.raises(IndexWidthError, match="overflows int64"):
-            combine_keys(np.array([2**32]), np.array([0]), 2**32)
-
-    def test_boundary_fits(self):
-        # Largest representable pair: (2^31-1) * 2^32 + (2^32-1) < 2^63.
-        keys = combine_keys(np.array([2**31 - 1]), np.array([2**32 - 1]), 2**32)
-        f, s = split_keys(keys, 2**32)
-        assert int(f[0]) == 2**31 - 1 and int(s[0]) == 2**32 - 1
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="identical shapes"):
-            combine_keys(np.array([1, 2]), np.array([1]), 10)
 
 
 class TestCheckCombinedWidth:
@@ -198,6 +149,24 @@ class TestCoalescePairs:
         assert f.size == 0 and s.size == 0 and w.size == 0
         assert f.dtype == np.int64
 
+    @pytest.mark.parametrize(
+        "num_first,num_second,size",
+        [(8, 4, 200), (300, 70_000, 500), (100_000, 70_000, 400)],
+    )
+    def test_pair_order_is_stable_lexicographic(
+        self, num_first, num_second, size
+    ):
+        # Dense grids need no sort; the radix and combined-key sorts must
+        # both yield the stable (first, second) order the warm start reuses.
+        rng = np.random.default_rng(size)
+        first = rng.integers(0, num_first, size=size)
+        second = rng.integers(0, num_second, size=size)
+        order = pair_order(first, second, num_first, num_second)
+        if num_first * num_second <= 1 << 16:
+            assert order is None
+        else:
+            np.testing.assert_array_equal(order, np.lexsort((second, first)))
+
     def test_overflow_guard_on_fallback(self):
         big = 1 << 40
         with pytest.raises(IndexWidthError):
@@ -225,7 +194,7 @@ class TestGroupByRank:
         dest = np.array([1, 0, 1, 3, 0])
         a = np.array([10, 20, 30, 40, 50])
         b = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-        parts = group_by_rank(dest, 4, a, b)
+        parts = group_by_destination((dest, a, b), 4)
         assert len(parts) == 4
         np.testing.assert_array_equal(parts[0][0], [20, 50])  # arrival order
         np.testing.assert_array_equal(parts[1][0], [10, 30])
@@ -234,10 +203,10 @@ class TestGroupByRank:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            group_by_rank(np.array([4]), 4, np.array([1]))
+            group_by_destination((np.array([4]), np.array([1])), 4)
         with pytest.raises(ValueError, match="out of range"):
-            group_by_rank(np.array([-1]), 4, np.array([1]))
+            group_by_destination((np.array([-1]), np.array([1])), 4)
 
     def test_empty(self):
-        parts = group_by_rank(np.empty(0, dtype=np.int64), 3, np.empty(0))
+        parts = group_by_destination((np.empty(0, dtype=np.int64), np.empty(0)), 3)
         assert len(parts) == 3 and all(p[0].size == 0 for p in parts)

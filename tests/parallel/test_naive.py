@@ -7,6 +7,7 @@ from repro.generators import generate_lfr
 from repro.metrics import modularity
 from repro.parallel import (
     ParallelLouvainConfig,
+    detect_communities,
     naive_parallel_louvain,
     parallel_louvain,
 )
@@ -62,6 +63,11 @@ class TestNaiveBehavior:
         assert modularity(strong_graph, naive.membership) == pytest.approx(
             naive.final_modularity, abs=1e-9
         )
+
+    def test_same_iteration_cap_as_detect_communities(self, two_cliques):
+        direct = naive_parallel_louvain(two_cliques, num_ranks=4)
+        driven = detect_communities(two_cliques, algorithm="naive", num_ranks=4)
+        assert direct.config.max_inner == driven.raw.config.max_inner
 
     def test_kwargs_and_config_conflict(self, strong_graph):
         with pytest.raises(TypeError):

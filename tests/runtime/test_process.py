@@ -146,6 +146,25 @@ class TestTrajectoryEquivalence:
         )
         assert summary.modularity == reference.modularity
 
+    def test_incremental_defaults_backend_to_vector(self, lfr300):
+        from repro.parallel import EdgeBatch, incremental_louvain
+
+        base = detect_communities(lfr300, num_ranks=2, backend="vector")
+        batch = EdgeBatch(
+            add_src=np.array([0, 5]),
+            add_dst=np.array([17, 250]),
+            add_weight=np.array([1.0, 2.0]),
+        )
+        runs = [
+            incremental_louvain(
+                lfr300, batch, base.membership, num_ranks=2, **kwargs
+            )[1]
+            for kwargs in ({"execution": "process"}, {"backend": "vector"})
+        ]
+        assert runs[0].config.backend == "vector"
+        np.testing.assert_array_equal(runs[0].membership, runs[1].membership)
+        assert runs[0].modularities == runs[1].modularities
+
 
 @st.composite
 def graphs(draw, max_vertices=20, max_edges=50):
@@ -245,6 +264,14 @@ class TestFailureHandling:
         with pytest.raises(ProcessExecutionError, match="control flow diverged"):
             _run(lfr300, "process", num_ranks=2)
         assert leaked_segments() == []
+
+    def test_config_resolves_backend_from_execution(self):
+        assert ParallelLouvainConfig().backend == "hash"
+        assert ParallelLouvainConfig(execution="process").backend == "vector"
+        assert (
+            ParallelLouvainConfig(execution="simulated", backend="vector").backend
+            == "vector"
+        )
 
     def test_config_rejects_process_with_hash_backend(self):
         with pytest.raises(ValueError, match="backend='vector'"):

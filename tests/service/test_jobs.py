@@ -180,3 +180,38 @@ class TestJobQueue:
         q.close()
         t.join(timeout=5)
         assert results == [None]
+
+
+class TestPayloadRelease:
+    """A terminal job drops its input; a retried job keeps it."""
+
+    def test_finalize_drops_payload(self):
+        q = JobQueue()
+        job = q.submit(make_job(payload={"graph": object()}))
+        q.claim(timeout=1)
+        q.finalize(job, JobState.DONE, result={"ok": True})
+        assert job.payload == {} and job.result == {"ok": True}
+
+    def test_cancel_pending_drops_payload(self):
+        q = JobQueue()
+        job = q.submit(make_job(payload={"graph": object()}))
+        assert q.cancel(job.job_id)
+        assert job.payload == {}
+
+    def test_close_drops_pending_payloads(self):
+        q = JobQueue()
+        job = q.submit(make_job(payload={"graph": object()}))
+        q.close()
+        assert job.state == JobState.CANCELLED and job.payload == {}
+
+    def test_requeue_keeps_payload_until_closed(self):
+        q = JobQueue()
+        payload = {"graph": object()}
+        job = q.submit(make_job(payload=payload))
+        q.claim(timeout=1)
+        q.requeue(job)
+        assert job.payload is payload
+        assert q.claim(timeout=1) is job
+        q.close()
+        q.requeue(job)  # a retry racing shutdown ends the job
+        assert job.state == JobState.CANCELLED and job.payload == {}

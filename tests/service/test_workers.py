@@ -6,8 +6,10 @@ retry/backoff exhaustion surfacing the last error, and the warm-start
 update matching a cold full re-run on the same final graph.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -291,6 +293,22 @@ class TestDetectionAndUpdates:
             job = svc.wait(job.job_id, timeout=10)
             assert job.state == JobState.FAILED
             assert job.attempts == 1  # named-version misses are not retried
+
+
+    def test_finished_jobs_do_not_pin_their_graphs(self):
+        # The job registry outlives every job; once the store evicts a
+        # graph's snapshot, nothing may keep the submitted graph alive.
+        refs = []
+        with DetectionService(num_workers=1, store_capacity=1) as svc:
+            for seed in range(3):
+                g, _ = planted_partition(4, 10, 0.5, 0.05, seed=seed)
+                refs.append(weakref.ref(g))
+                job = svc.submit_graph(g)
+                assert svc.wait(job.job_id, timeout=60).state == JobState.DONE
+                del g, job
+            gc.collect()
+            alive = [ref() is not None for ref in refs]
+        assert alive == [False, False, True]  # only the stored snapshot's
 
 
 class TestTracingAndMetrics:
