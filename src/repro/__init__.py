@@ -13,25 +13,31 @@ Public API highlights
 * :mod:`repro.sequential` -- the Algorithm-1 baseline.
 * :mod:`repro.metrics` -- modularity and all Table II/III quality metrics.
 * :mod:`repro.runtime` -- the simulated SPMD runtime and machine models.
-* :mod:`repro.harness` -- one experiment runner per paper table/figure.
+* :mod:`repro.harness` -- one experiment runner per paper table/figure
+  (imported on first use).
 * :mod:`repro.analysis` -- SPMD superstep-safety linter (``repro check``)
   and the opt-in runtime invariant sanitizer.
 * :mod:`repro.service` -- long-lived detection service (job queue, worker
-  pool, versioned snapshot store, ``repro serve`` HTTP API).
+  pool, versioned snapshot store, ``repro serve`` HTTP API; imported on
+  first use).
+
+``import repro`` loads what detection needs and nothing more: ``harness``,
+``service`` and ``DetectionService`` resolve on first attribute access
+(PEP 562), and scipy loads only when a partition-similarity metric runs.
 """
+
+import importlib
 
 from . import (
     analysis,
     generators,
     graph,
-    harness,
     hashing,
     metrics,
     observability,
     parallel,
     runtime,
     sequential,
-    service,
 )
 from .analysis import InvariantViolation, Sanitizer
 from .graph import Graph
@@ -47,7 +53,6 @@ from .parallel import (
 )
 from .runtime import BGQ, P7IH, MachineModel
 from .sequential import louvain as sequential_louvain
-from .service import DetectionService
 
 __version__ = "1.0.0"
 
@@ -82,3 +87,12 @@ __all__ = [
     "service",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # Detection never uses these, so they load on first access.
+    if name in ("harness", "service"):
+        return importlib.import_module(f".{name}", __name__)
+    if name == "DetectionService":
+        return importlib.import_module(".service", __name__).DetectionService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

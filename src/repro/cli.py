@@ -516,9 +516,23 @@ def _tolerances_from_args(args):
 # --------------------------------------------------------------------- #
 
 
+def _read_graph(path):
+    """The graph in edge-list file ``path``, or ``None`` after printing
+    ``repro: <path>: <cause>`` to stderr (missing file, malformed line)."""
+    from .graph import read_edge_list
+
+    try:
+        return read_edge_list(path)
+    except OSError as exc:
+        cause = exc.strerror or str(exc)
+    except ValueError as exc:
+        cause = str(exc)
+    print(f"repro: {path}: {cause}", file=sys.stderr)
+    return None
+
+
 def _cmd_detect(args) -> int:
     from .analysis import InvariantViolation
-    from .graph import read_edge_list
     from .metrics import modularity
     from .observability import JsonlWriterSink, Tracer, export_trace
     from .parallel import build_dendrogram, detect_communities, label_propagation
@@ -539,8 +553,13 @@ def _cmd_detect(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.execution == "process" and args.backend == "hash":
+        print("--execution process requires --backend vector", file=sys.stderr)
+        return 2
 
-    graph = read_edge_list(args.input)
+    graph = _read_graph(args.input)
+    if graph is None:
+        return 2
     print(f"loaded {graph.num_vertices} vertices / {graph.num_edges} edges")
     machine = {"p7ih": P7IH, "bgq": BGQ, None: None}[args.machine]
     # JSONL traces stream to disk as events are emitted (O(1) events in
@@ -680,10 +699,11 @@ def _cmd_info(args) -> int:
         approximate_diameter,
         connected_components,
         global_clustering_coefficient,
-        read_edge_list,
     )
 
-    graph = read_edge_list(args.input)
+    graph = _read_graph(args.input)
+    if graph is None:
+        return 2
     deg = graph.degrees()
     comps = connected_components(graph)
     print(f"vertices          : {graph.num_vertices}")
@@ -908,10 +928,14 @@ def _cmd_trace(args) -> int:
 def _cmd_serve(args) -> int:
     import os
 
-    from .graph import read_edge_list
     from .observability import RotatingJsonlSink
     from .service import DetectionService, ServiceServer, run_server
 
+    graph = None
+    if args.graph:
+        graph = _read_graph(args.graph)
+        if graph is None:
+            return 2
     sink = None
     if not args.no_trace:
         sink = RotatingJsonlSink(
@@ -930,8 +954,7 @@ def _cmd_serve(args) -> int:
         default_max_retries=args.max_retries,
         sink=sink,
     )
-    if args.graph:
-        graph = read_edge_list(args.graph)
+    if graph is not None:
         job = service.submit_graph(graph)
         print(
             f"submitted {args.graph} ({graph.num_vertices} vertices / "

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..kernels import coalesce_pairs
+
 __all__ = ["Graph", "coalesce_edges"]
 
 
@@ -33,7 +35,11 @@ def coalesce_edges(
     """Merge duplicate ``(src, dst)`` pairs, summing their weights.
 
     Input arrays describe *directed* entries; the caller is responsible for
-    symmetry.  Returns sorted, deduplicated ``(src, dst, weight)`` arrays.
+    symmetry.  Returns sorted, deduplicated ``(src, dst, weight)`` arrays;
+    each sum folds its pair's weights in input order.  Grouping goes through
+    :func:`repro.kernels.coalesce_pairs` on ids counted from 0: for wide id
+    ranges one stable argsort of the combined ``src * bound + dst`` key,
+    whose int64 width it checks first (``IndexWidthError``).
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -42,18 +48,14 @@ def coalesce_edges(
         raise ValueError("src, dst and weight must have identical shapes")
     if src.size == 0:
         return src, dst, weight
-    order = np.lexsort((dst, src))
-    src, dst, weight = src[order], dst[order], weight[order]
-    new_group = np.empty(src.size, dtype=bool)
-    new_group[0] = True
-    np.not_equal(src[1:], src[:-1], out=new_group[1:])
-    np.logical_or(new_group[1:], dst[1:] != dst[:-1], out=new_group[1:])
-    group_id = np.cumsum(new_group) - 1
-    n_groups = int(group_id[-1]) + 1
-    w_out = np.zeros(n_groups, dtype=np.float64)
-    np.add.at(w_out, group_id, weight)
-    keep = np.flatnonzero(new_group)
-    return src[keep], dst[keep], w_out
+    low = min(int(src.min()), int(dst.min()))
+    if low:  # pair keys count from 0
+        src, dst = src - low, dst - low
+    bound = max(int(src.max()), int(dst.max())) + 1
+    first, second, sums = coalesce_pairs(src, dst, bound, bound, weight)
+    if low:
+        first, second = first + low, second + low
+    return first, second, sums
 
 
 @dataclass(frozen=True)
@@ -117,11 +119,13 @@ class Graph:
             raise ValueError("vertex id exceeds num_vertices")
 
         loops = src == dst
+        links = ~loops
+        s, d, w = src[links], dst[links], weight[links]
         # Symmetrize: every u != v edge appears in both rows; self-loops
         # appear once with doubled adjacency value.
-        a_src = np.concatenate([src[~loops], dst[~loops], src[loops]])
-        a_dst = np.concatenate([dst[~loops], src[~loops], dst[loops]])
-        a_w = np.concatenate([weight[~loops], weight[~loops], 2.0 * weight[loops]])
+        a_src = np.concatenate([s, d, src[loops]])
+        a_dst = np.concatenate([d, s, dst[loops]])
+        a_w = np.concatenate([w, w, 2.0 * weight[loops]])
         a_src, a_dst, a_w = coalesce_edges(a_src, a_dst, a_w)
         return Graph._from_directed_entries(a_src, a_dst, a_w, n)
 

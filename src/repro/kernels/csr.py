@@ -14,8 +14,9 @@ Three families of helpers:
   ``(first, second)`` id pairs by id range (dense grid, 16-bit radix sort or
   a combined int64 key, whose width :func:`check_combined_width` validates
   instead of letting ``first * bound + second`` wrap at ``2^63``);
-  :func:`coalesce_pairs` and the vector backend's Out_Table rebuild both
-  sort through it.
+  :func:`coalesce_pairs` (which the graph's CSR build,
+  :func:`repro.graph.coalesce_edges`, also calls) and the vector backend's
+  Out_Table rebuild both sort through it.
 * **Destination grouping** -- :func:`group_by_destination` splits an
   alltoallv outbox into per-destination-rank batches with one stable
   argsort; both message buses and the vector backend's per-level send

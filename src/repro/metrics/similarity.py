@@ -8,15 +8,20 @@ partition against the sequential one:
 * **RI**, **ARI**, **JI** -- pair counting.
 
 All metrics are computed from the sparse contingency table of the two
-labelings, so they run comfortably on millions of vertices.
+labelings, so they run comfortably on millions of vertices.  scipy is
+imported inside :func:`contingency_table`, so ``import repro`` (and a
+detection run) does not pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "contingency_table",
@@ -41,6 +46,8 @@ def _as_labels(labels: np.ndarray) -> np.ndarray:
 
 def contingency_table(labels_a: np.ndarray, labels_b: np.ndarray) -> sp.csr_matrix:
     """Sparse contingency matrix ``N[i, j] = |a_i ∩ b_j|``."""
+    import scipy.sparse as sp
+
     a = _as_labels(labels_a)
     b = _as_labels(labels_b)
     if a.size != b.size:

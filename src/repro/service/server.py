@@ -542,13 +542,17 @@ class ServiceServer(ThreadingHTTPServer):
         return thread
 
     def stop(self) -> None:
-        """Stop accepting requests, then close the service (idempotent)."""
+        """Stop accepting requests, then close the service (idempotent).
+
+        The listening socket closes last, so a client refused a connection
+        already finds the service shutting down.
+        """
         if self._stopped.is_set():
             return
         self._stopped.set()
         self.shutdown()
-        self.server_close()
         self.service.close()
+        self.server_close()
 
 
 def run_server(server: ServiceServer) -> None:

@@ -233,6 +233,32 @@ class TestBackpressureAndLiveness:
         assert svc.health()["status"] == "shutting_down"
         srv.stop()  # idempotent
 
+    def test_refused_client_sees_service_shutting_down(self, monkeypatch):
+        # /shutdown stops the server on a background thread, which may be
+        # descheduled between the steps of stop(); a slow service.close()
+        # stands in for that.  A client refused at the socket must already
+        # find the service shutting down.
+        svc = DetectionService(num_workers=1)
+        close = svc.close
+
+        def slow_close(*args, **kwargs):
+            time.sleep(0.5)
+            close(*args, **kwargs)
+
+        monkeypatch.setattr(svc, "close", slow_close)
+        srv = ServiceServer(svc, port=0)
+        srv.serve_background()
+        assert _request(srv.address, "POST", "/shutdown")[0] == 202
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            try:
+                _request(srv.address, "GET", "/healthz")
+            except (ConnectionError, OSError):
+                break
+            time.sleep(0.05)
+        assert svc.health()["status"] == "shutting_down"
+        srv.stop()
+
 
 def test_submissions_after_close_get_503(edges):
     svc = DetectionService(num_workers=1)

@@ -107,6 +107,42 @@ class TestDetect:
         ])
         assert rc == 2
 
+    def test_process_execution_rejects_hash_backend(self, edge_file, capsys):
+        rc = main([
+            "detect", str(edge_file), "--execution", "process",
+            "--backend", "hash",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "--execution process requires --backend vector\n"
+
+
+#: Every command that reads an edge list, as argv before the path.
+EDGE_LIST_COMMANDS = [["detect"], ["info"], ["serve", "--graph"]]
+
+
+class TestEdgeListErrors:
+    """A bad edge list ends a command with one stderr line and exit code 2."""
+
+    @pytest.mark.parametrize("command", EDGE_LIST_COMMANDS)
+    def test_missing_file(self, command, tmp_path, capsys):
+        path = tmp_path / "absent.txt"
+        assert main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: {path}: No such file or directory\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", EDGE_LIST_COMMANDS)
+    def test_malformed_file(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("# header\n\n0 1\n1 x\n")
+        assert main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro: {path}: line 4: vertex id 'x' is not an integer\n"
+        )
+        assert captured.out == ""
+
 
 class TestTrace:
     def test_detect_trace_then_report(self, edge_file, tmp_path, capsys):

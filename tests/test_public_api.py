@@ -1,8 +1,13 @@
 """Guards on the public API surface and repository artifacts."""
 
 import importlib
+import json
+import os
 import pathlib
 import py_compile
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -37,6 +42,44 @@ class TestPublicSurface:
         assert callable(repro.parallel_louvain)
         assert callable(repro.sequential_louvain)
         assert callable(repro.modularity)
+
+
+#: Modules that ``import repro`` and a detection run must not load: detection
+#: calls none of them, and each costs cold-start time.
+DEFERRED_MODULES = ("scipy", "repro.harness", "repro.service", "repro.bench",
+                    "repro.loadgen")
+
+IMPORT_PROBE = textwrap.dedent("""
+    import json, sys
+    deferred = json.loads(sys.argv[1])
+
+    def loaded():
+        return [m for m in deferred if m in sys.modules]
+
+    import repro
+    after_import = loaded()
+    graph = repro.graph.ring_of_cliques(6, 5)
+    repro.detect_communities(graph, backend="vector", num_ranks=2)
+    after_detect = loaded()
+    resolved = [repro.harness.__name__, repro.service.__name__,
+                repro.DetectionService.__name__]
+    print(json.dumps([after_import, after_detect, resolved]))
+""")
+
+
+class TestImportWeight:
+    def test_cold_path_defers_heavy_modules(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, json.dumps(DEFERRED_MODULES)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        after_import, after_detect, resolved = json.loads(proc.stdout)
+        assert after_import == []
+        assert after_detect == []
+        assert resolved == ["repro.harness", "repro.service", "DetectionService"]
 
 
 class TestRepositoryArtifacts:
