@@ -23,7 +23,8 @@ Public API highlights
 
 ``import repro`` loads what detection needs and nothing more: ``harness``,
 ``service`` and ``DetectionService`` resolve on first attribute access
-(PEP 562), and scipy loads only when a partition-similarity metric runs.
+(PEP 562), as do the linter names of :mod:`repro.analysis`, and scipy
+loads only when a partition-similarity metric runs.
 """
 
 import importlib

@@ -8,7 +8,8 @@ Two prongs guard the SPMD discipline the paper's algorithm depends on:
   mutation during REFINE, Out_Table reuse without reset, arithmetic on
   packed Eq.-5 keys.  Run via ``repro check <paths>`` or
   :func:`run_checks`; the registry is pluggable via
-  :func:`register_checker`.
+  :func:`register_checker`.  The linter's names resolve on first access
+  (PEP 562), so ``import repro`` loads only the sanitizer.
 
 * **Runtime sanitizer** (:mod:`repro.analysis.sanitizer`): opt-in contract
   hooks inside the hash tables, the bus and the parallel kernels that
@@ -19,23 +20,8 @@ Two prongs guard the SPMD discipline the paper's algorithm depends on:
   :class:`InvariantViolation` with the offending rank/level/iteration.
 """
 
-from . import checkers  # noqa: F401  (imports register the built-in checkers)
-from . import locks  # noqa: F401  (imports register the concurrency checkers)
-from .findings import Finding, findings_to_json, findings_to_sarif, format_findings
-from .linter import (
-    CHECKERS,
-    CheckerBase,
-    Suppression,
-    apply_baseline,
-    available_profiles,
-    check_file,
-    get_checkers,
-    iter_python_files,
-    list_suppressions,
-    load_baseline,
-    register_checker,
-    run_checks,
-)
+import importlib
+
 from .sanitizer import (
     NULL_SANITIZER,
     InvariantViolation,
@@ -44,6 +30,35 @@ from .sanitizer import (
     resolve_sanitizer,
     sanitize_enabled,
 )
+
+#: The linter's public names and their modules.  Detection needs only the
+#: sanitizer, so these load on first access (PEP 562), and with them the
+#: built-in checker modules that fill the registry.
+_LINTER_NAMES = {
+    **dict.fromkeys(
+        ("Finding", "findings_to_json", "findings_to_sarif", "format_findings"),
+        "findings",
+    ),
+    **dict.fromkeys(
+        (
+            "CHECKERS", "CheckerBase", "Suppression", "apply_baseline",
+            "available_profiles", "check_file", "get_checkers",
+            "iter_python_files", "list_suppressions", "load_baseline",
+            "register_checker", "run_checks",
+        ),
+        "linter",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LINTER_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import checkers, locks  # noqa: F401  (importing registers them)
+
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __all__ = [
     "Finding",

@@ -85,9 +85,16 @@ def register_checker(cls: type[CheckerBase]) -> type[CheckerBase]:
     return cls
 
 
+def _registry() -> dict[str, type[CheckerBase]]:
+    """:data:`CHECKERS`, with the built-in checkers registered."""
+    from . import checkers, locks  # noqa: F401  (importing registers them)
+
+    return CHECKERS
+
+
 def available_profiles() -> list[str]:
     """Profiles declared by registered checkers, plus the ``all`` union."""
-    return sorted({cls.profile for cls in CHECKERS.values()} | {"all"})
+    return sorted({cls.profile for cls in _registry().values()} | {"all"})
 
 
 def get_checkers(
@@ -98,11 +105,12 @@ def get_checkers(
     ``select`` (explicit checker names) wins over ``profile``; with neither,
     every registered checker runs.  ``profile="all"`` is the union.
     """
+    registry = _registry()
     if select is not None:
-        unknown = [n for n in select if n not in CHECKERS]
+        unknown = [n for n in select if n not in registry]
         if unknown:
             raise ValueError(
-                f"unknown checker(s) {unknown}; available: {sorted(CHECKERS)}"
+                f"unknown checker(s) {unknown}; available: {sorted(registry)}"
             )
         names = list(select)
     elif profile is not None and profile != "all":
@@ -111,10 +119,10 @@ def get_checkers(
             raise ValueError(
                 f"unknown profile {profile!r}; available: {profiles}"
             )
-        names = sorted(n for n, cls in CHECKERS.items() if cls.profile == profile)
+        names = sorted(n for n, cls in registry.items() if cls.profile == profile)
     else:
-        names = sorted(CHECKERS)
-    return [CHECKERS[n]() for n in names]
+        names = sorted(registry)
+    return [registry[n]() for n in names]
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -265,7 +273,7 @@ class Suppression:
         self.line = line
         self.checkers = checkers
         self.source = source
-        self.unknown = tuple(c for c in checkers if c not in CHECKERS)
+        self.unknown = tuple(c for c in checkers if c not in _registry())
 
     def format(self) -> str:
         names = ", ".join(self.checkers)

@@ -531,6 +531,19 @@ def _read_graph(path):
     return None
 
 
+def _rejects_process_hash(args) -> bool:
+    """Refuse ``--execution process --backend hash`` on stderr.
+
+    Process mode keeps rank state as flat CSR arrays in shared memory, so
+    ``ParallelLouvainConfig`` rejects the hash backend there; every command
+    taking both flags says so up front, before any work starts.
+    """
+    if args.execution == "process" and args.backend == "hash":
+        print("--execution process requires --backend vector", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_detect(args) -> int:
     from .analysis import InvariantViolation
     from .metrics import modularity
@@ -553,8 +566,7 @@ def _cmd_detect(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.execution == "process" and args.backend == "hash":
-        print("--execution process requires --backend vector", file=sys.stderr)
+    if _rejects_process_hash(args):
         return 2
 
     graph = _read_graph(args.input)
@@ -892,6 +904,8 @@ def _cmd_trace(args) -> int:
         return 0
 
     # compare
+    if _rejects_process_hash(args):
+        return 2
     tol = _tolerances_from_args(args)
 
     total_drift = 0

@@ -11,15 +11,16 @@ comment lines, numpy's C text parser reads the rest of the handle in one
 pass when every row looks like the first (all ``src dst`` or all ``src dst
 weight``, plain decimal literals, no later comment).  Any input it rejects
 -- a comment line mid-file, mixed 2/3-column rows, ``1_000``-style literals,
-a malformed row -- is re-read from the first data line by the Python line
-loop (:func:`_parse_lines`), which the tests also use as the reference.  So
-both paths accept the same inputs and build the identical graph, or raise
-the identical ``ValueError``.
+a malformed row, a NaN, infinite or negative weight -- is re-read from the
+first data line by the Python line loop (:func:`_parse_lines`), which the
+tests also use as the reference.  So both paths accept the same inputs and
+build the identical graph, or raise the identical ``ValueError``.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +54,9 @@ def read_edge_list(
 
     Lines have 2 or 3 columns (``src dst [weight]``); blank lines and lines
     starting with ``comments`` are ignored.  Vertex ids must be non-negative
-    integers, below ``num_vertices`` when it is given.  A malformed line
-    raises ``ValueError`` naming its 1-based line number and the cause.
+    integers, below ``num_vertices`` when it is given, and weights finite
+    and non-negative.  A malformed line raises ``ValueError`` naming its
+    1-based line number and the cause.
     """
     if isinstance(path_or_buffer, (str, Path)):
         with open(path_or_buffer, "r", encoding="utf-8") as fh:
@@ -117,6 +119,8 @@ def _parse_c(
             src, dst, wt = rows["src"], rows["dst"], rows["weight"]
     except ValueError:
         return None
+    if not ((wt >= 0.0) & (wt < np.inf)).all():  # NaN fails both tests
+        return None
     low = min(src.min(), dst.min())
     high = max(src.max(), dst.max())
     if low < 0 or (num_vertices is not None and high >= num_vertices):
@@ -146,6 +150,11 @@ def _parse_lines(
         if not (0 <= u < limit and 0 <= v < limit):
             bad = v if 0 <= u < limit else u
             raise ValueError(f"line {lineno}: {_bad_id(bad, num_vertices)}")
+        if not 0.0 <= w < math.inf:  # NaN fails both tests
+            raise ValueError(
+                f"line {lineno}: weight {parts[2]!r} is not a finite "
+                "non-negative number"
+            )
         src.append(u)
         dst.append(v)
         wt.append(w)

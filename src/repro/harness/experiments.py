@@ -381,18 +381,12 @@ def run_fig6(
     """
     g = generate_rmat(RMATParams(scale=rmat_scale, edge_factor=16), seed=seed)
     partition = ModuloPartition(g.num_vertices, num_nodes)
-    rows = g.row_index()
-    cols = g.indices
-    owners = partition.owner(cols)
     entries: dict[str, list] = {h: [] for h in hashes}
     avg_bin: dict[str, list] = {h: [] for h in hashes}
     max_bin: dict[str, list] = {h: [] for h in hashes}
     lf_sweep: dict[float, list] = {}
-    for node in range(num_nodes):
-        mask = owners == node
-        keys = pack_key(
-            rows[mask].astype(np.uint64), cols[mask].astype(np.uint64), shift=32
-        )
+    for node, v, u, _ in partition.in_edge_shards(g):
+        keys = pack_key(v.astype(np.uint64), u.astype(np.uint64), shift=32)
         num_bins = max(threads_per_node, int(np.ceil(keys.size / load_factor)))
         for h in hashes:
             st = per_thread_stats(keys, num_bins, threads_per_node, h)

@@ -7,8 +7,8 @@ among its neighbors -- is exactly a STATE PROPAGATION loop where the
 Out_Table accumulates ``((v, candidate_id), ·)`` records and the reduction
 is ``min`` instead of weighted-argmax.
 
-Converges in O(diameter) supersteps; used by the harness to sanity-clean
-graphs at simulated scale without leaving the distributed setting.
+Converges in O(diameter) supersteps.  A library routine (exported from
+:mod:`repro.parallel`); no command or experiment calls it.
 """
 
 from __future__ import annotations

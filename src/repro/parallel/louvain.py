@@ -150,6 +150,10 @@ class ParallelLouvainResult:
     levels: list[ParallelLevelStats]
     simulation: Simulation
     config: ParallelLouvainConfig
+    #: Raw bytes the shared-memory bus carried, summed over the workers of
+    #: a process-mode run (0 under simulated execution); distinct from the
+    #: profiler's modeled wire bytes.
+    shm_bytes_moved: int = 0
 
     @property
     def num_levels(self) -> int:
@@ -720,22 +724,10 @@ def parallel_louvain(
         raise TypeError("pass either config or keyword overrides, not both")
     tracer = tracer if tracer is not None else NULL_TRACER
 
-    if config.execution == "process":
-        from ..runtime.process import process_louvain
-
-        return process_louvain(
-            graph,
-            config,
-            initial_membership=initial_membership,
-            tracer=tracer,
-            sanitize=sanitize,
-        )
-
     sim = Simulation.create(
         config.num_ranks, reorder_seed=config.reorder_seed, tracer=tracer,
         sanitize=sanitize,
     )
-    backend = _make_backend(config)
     partition = ModuloPartition(graph.num_vertices, config.num_ranks)
 
     def level0_q() -> float:
@@ -749,24 +741,43 @@ def parallel_louvain(
             resolution=config.resolution,
         )
 
+    shm_bytes_moved = 0
     # The run owns the rank executor's threads: join them on every exit
     # path, so none is alive when a later process-mode run forks.
     try:
-        ranks = backend.build_states(sim, partition, graph, config)
-        membership, level_labels, modularities, levels = _louvain_core(
-            sim,
-            partition,
-            backend,
-            ranks,
-            config,
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-            initial_membership=initial_membership,
-            level0_q=level0_q,
-            tracer=tracer,
-        )
+        if config.execution == "process":
+            from ..runtime.process import process_louvain
+
+            # Workers hold only their own shards, so the parent computes the
+            # level-0 Q every rank closes over.
+            outcome, shm_bytes_moved = process_louvain(
+                sim,
+                partition,
+                graph,
+                config,
+                initial_membership=initial_membership,
+                level0_q=level0_q(),
+                tracer=tracer,
+                sanitize=sanitize,
+            )
+        else:
+            backend = _make_backend(config)
+            ranks = backend.build_states(sim, partition, graph, config)
+            outcome = _louvain_core(
+                sim,
+                partition,
+                backend,
+                ranks,
+                config,
+                num_vertices=graph.num_vertices,
+                num_edges=graph.num_edges,
+                initial_membership=initial_membership,
+                level0_q=level0_q,
+                tracer=tracer,
+            )
     finally:
         sim.close()
+    membership, level_labels, modularities, levels = outcome
     return ParallelLouvainResult(
         membership=membership,
         level_labels=level_labels,
@@ -774,6 +785,7 @@ def parallel_louvain(
         levels=levels,
         simulation=sim,
         config=config,
+        shm_bytes_moved=shm_bytes_moved,
     )
 
 
@@ -798,9 +810,9 @@ def _louvain_core(
     this exact function over its single local rank state and a
     :class:`~repro.runtime.shm.SharedMemoryBus`.  Every control-flow branch
     below depends only on collective results (``m``, mover counts, ``Q``,
-    histogram thresholds, the gathered label fragments), which both buses
-    fold in identical ascending-rank order -- that is the whole bitwise
-    equivalence argument.
+    histogram thresholds, the gathered label fragments), which the one bus
+    front end (:class:`~repro.runtime.comm.Bus`) folds in ascending rank
+    order for both -- that is the whole bitwise equivalence argument.
 
     ``level0_q`` is a zero-argument callable returning the modularity of the
     starting partition (lazy so the empty-graph early return never pays for

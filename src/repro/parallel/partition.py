@@ -9,9 +9,14 @@ same mapping owns communities.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..graph import Graph
 
 __all__ = ["ModuloPartition"]
 
@@ -50,3 +55,21 @@ class ModuloPartition:
         if rank >= self.num_vertices:
             return 0
         return (self.num_vertices - rank - 1) // self.num_ranks + 1
+
+    def in_edge_shards(
+        self, graph: "Graph"
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Split ``graph``'s adjacency into per-rank in-edge shards.
+
+        Every CSR entry ``(v -> u)`` of the symmetric adjacency becomes the
+        in-edge ``(v, u, w)`` stored on ``owner(u)``.  Yields ``(rank, v, u,
+        w)`` for each rank in turn, the entries in CSR order.  (In a real
+        deployment this is the parallel graph-ingest step.)
+        """
+        rows = graph.row_index()
+        cols = graph.indices
+        weights = graph.weights
+        owners = self.owner(cols)
+        for rank in range(self.num_ranks):
+            mask = owners == rank
+            yield rank, rows[mask], cols[mask], weights[mask]

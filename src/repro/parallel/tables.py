@@ -152,25 +152,19 @@ def build_in_tables(
 ) -> list[RankTables]:
     """Distribute a graph's adjacency entries into per-rank In_Tables.
 
-    Every CSR entry ``(u → v)`` of the symmetric adjacency becomes the
-    in-edge ``(u, v)`` stored on ``owner(v)``.  (In a real deployment this is
-    the parallel graph-ingest step; here the driver performs it directly.)
+    Each rank's table holds its in-edge shard
+    (:meth:`ModuloPartition.in_edge_shards`).
     """
-    rows = graph.row_index()
-    cols = graph.indices
-    weights = graph.weights
-    owners = partition.owner(cols)
     tables: list[RankTables] = []
-    for rank in range(partition.num_ranks):
-        mask = owners == rank
+    for rank, v, u, w in partition.in_edge_shards(graph):
         rt = RankTables(
-            expected_in_edges=int(mask.sum()) + 16,
+            expected_in_edges=int(u.size) + 16,
             hash_function=hash_function,
             load_factor=load_factor,
             key_shift=key_shift,
             sanitizer=sanitizer,
             rank=rank,
         )
-        rt.add_in_edges(rows[mask], cols[mask], weights[mask])
+        rt.add_in_edges(v, u, w)
         tables.append(rt)
     return tables

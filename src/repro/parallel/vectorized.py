@@ -201,16 +201,6 @@ class _VectorRankState:
         self.tables = _ArrayTables(self)
 
 
-def _check_weights(sanitizer, rank: int, w: np.ndarray) -> None:
-    """The sanitizer's finite-weight contract for one rank's in-edges.
-
-    Runs on the driver thread before the rank's state is built (rank states
-    are built on the rank executor, which never touches the sanitizer).
-    """
-    if sanitizer.enabled:
-        sanitizer.check_finite(w, rank=rank, what="in-edge weights")
-
-
 # ===================================================================== #
 # Per-rank kernels
 #
@@ -526,22 +516,24 @@ class VectorBackend:
     # -------------------------------------------------------------- #
 
     def build_states(self, sim, partition, graph, config):
-        rows = graph.row_index()
-        cols = graph.indices
-        weights = graph.weights
-        owners = partition.owner(cols)
+        return self.local_states(
+            sim, partition, list(partition.in_edge_shards(graph))
+        )
+
+    def local_states(self, sim, partition, shards):
+        """Rank states from in-edge shards ``(rank, v, u, w)``.
+
+        The sanitizer's finite-weight contract runs on the driver thread
+        first; the states are then built on the rank executor, which never
+        touches the sanitizer.
+        """
         if sim.sanitizer.enabled:
-            for rank in range(partition.num_ranks):
-                _check_weights(sim.sanitizer, rank, weights[owners == rank])
-
-        def build(rank: int) -> _VectorRankState:
-            mask = owners == rank
-            return _VectorRankState(
-                rank, partition, rows[mask], cols[mask], weights[mask]
-            )
-
+            for rank, _, _, w in shards:
+                sim.sanitizer.check_finite(w, rank=rank, what="in-edge weights")
         return sim.map_ranks(
-            build, range(partition.num_ranks), work=int(cols.size)
+            lambda shard: _VectorRankState(shard[0], partition, *shard[1:]),
+            shards,
+            work=sum(int(shard[3].size) for shard in shards),
         )
 
     # -------------------------------------------------------------- #
@@ -673,13 +665,9 @@ class VectorBackend:
         shards = []
         for st in ranks:
             v_in, u_in, w_in = result.inbox(st.rank)
-            w_in = np.asarray(w_in, dtype=np.float64)
             prof.add_ops(st.rank, np.asarray(v_in).size)
-            _check_weights(sim.sanitizer, st.rank, w_in)
-            shards.append((st.rank, new_partition, v_in, u_in, w_in))
-        new_states = sim.map_ranks(
-            lambda shard: _VectorRankState(*shard),
-            shards,
-            work=sum(int(shard[-1].size) for shard in shards),
-        )
+            shards.append(
+                (st.rank, v_in, u_in, np.asarray(w_in, dtype=np.float64))
+            )
+        new_states = self.local_states(sim, new_partition, shards)
         return new_states, new_partition, labels

@@ -1,8 +1,8 @@
 """SPMD simulation engine: ranks + bus + profiler wired together.
 
 A :class:`Simulation` owns the pieces every distributed algorithm in this
-repository needs: the rank count, the :class:`~repro.runtime.comm.MessageBus`
-(with optional delivery-order failure injection), the
+repository needs: the rank count, the bus (:class:`~repro.runtime.comm.Bus`,
+with optional delivery-order failure injection), the
 :class:`~repro.runtime.profiler.PhaseProfiler` and a rank executor.
 
 Algorithms are written as supersteps over per-rank state: every rank
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 import numpy as np
 
 from ..analysis.sanitizer import NULL_SANITIZER, Sanitizer, resolve_sanitizer
-from .comm import MessageBus
+from .comm import Bus, MessageBus
 from .profiler import PhaseProfiler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,7 +61,7 @@ class Simulation:
     """Execution context for one simulated SPMD run."""
 
     num_ranks: int
-    bus: MessageBus
+    bus: Bus
     profiler: PhaseProfiler
     tracer: "Tracer | None" = None
     sanitizer: Sanitizer = field(default=NULL_SANITIZER)
@@ -76,6 +76,7 @@ class Simulation:
         reorder_seed: int | None = None,
         tracer: "Tracer | None" = None,
         sanitize: "bool | Sanitizer | None" = False,
+        bus: Bus | None = None,
     ) -> "Simulation":
         """Build a simulation.
 
@@ -87,14 +88,24 @@ class Simulation:
         ``sanitize`` attaches a :class:`~repro.analysis.Sanitizer` (pass
         ``True``, an instance, or ``None`` to defer to ``REPRO_SANITIZE``);
         the bus then checks superstep participation and the algorithms run
-        their invariant contracts against it.
+        their invariant contracts against it.  ``bus`` is the transport to
+        run over -- an in-process :class:`~repro.runtime.comm.MessageBus`
+        by default, a bound :class:`~repro.runtime.shm.SharedMemoryBus` in a
+        process-mode worker -- and gets this run's profiler, sanitizer and
+        reorder RNG.  This is the one place a run resolves all three, so
+        every rank of every execution mode draws the same RNG stream.
         """
         if num_ranks < 1:
             raise ValueError("need at least one rank")
         sanitizer = resolve_sanitizer(sanitize, tracer=tracer)
         profiler = PhaseProfiler(num_ranks, tracer=tracer)
-        rng = np.random.default_rng(reorder_seed) if reorder_seed is not None else None
-        bus = MessageBus(num_ranks, profiler, reorder_rng=rng, sanitizer=sanitizer)
+        if bus is None:
+            bus = MessageBus(num_ranks)
+        bus.profiler = profiler
+        bus.sanitizer = sanitizer
+        bus.reorder_rng = (
+            np.random.default_rng(reorder_seed) if reorder_seed is not None else None
+        )
         return Simulation(
             num_ranks=num_ranks, bus=bus, profiler=profiler, tracer=tracer,
             sanitizer=sanitizer,

@@ -7,19 +7,26 @@ shard from the shared-memory manifest the parent published, and runs the
 *same* control plane as the simulated mode
 (:func:`repro.parallel.louvain._louvain_core`) over its single local rank
 state.  Every branch in that control plane depends only on collective
-results, which both buses fold in identical ascending-rank order, so the
+results, which the bus front end both modes share
+(:class:`~repro.runtime.comm.Bus`) folds in ascending rank order, so the
 trajectory -- every float, every mover count, every level -- is bitwise
 identical to ``execution="simulated"`` (the zero-tolerance golden gate
 proves it).
 
-Responsibility split:
+Process mode differs from simulated mode only in how bytes cross between
+ranks.  :func:`repro.parallel.louvain.parallel_louvain` builds the run's
+simulation, computes the level-0 modularity and assembles the result for
+both modes; the shard split is :meth:`ModuloPartition.in_edge_shards`, the
+rank states come from :meth:`VectorBackend.local_states`, and each worker's
+profiler, sanitizer and reorder RNG from
+:meth:`~repro.runtime.engine.Simulation.create` over the shared-memory
+transport.  What is left here:
 
-* parent: shards the graph's CSR arrays by owner rank exactly as
-  ``VectorBackend.build_states`` does, publishes them (plus the warm-start
-  membership) via :func:`~repro.runtime.shm.publish_arrays`, precomputes the
-  level-0 modularity, forks workers, drains the streamed trace events into
-  the caller's tracer, merges the per-worker profiler columns, and owns
-  segment cleanup on **both** success and failure paths.
+* parent: publishes the shards (plus the warm-start membership) via
+  :func:`~repro.runtime.shm.publish_arrays`, forks workers, drains the
+  streamed trace events into the caller's tracer, merges the per-worker
+  profiler columns into the run's profiler, and owns segment cleanup on
+  **both** success and failure paths.
 * workers: pure SPMD peers.  Rank 0 additionally streams trace events to
   the parent through a queue-backed
   :class:`~repro.observability.sinks.QueueTraceSink` and ships the result
@@ -41,14 +48,14 @@ import os
 import queue as _queue
 import time
 import traceback
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..analysis.sanitizer import NULL_SANITIZER, Sanitizer, resolve_sanitizer
-from .comm import MessageBus
+from ..analysis.sanitizer import Sanitizer
 from .engine import Simulation
-from .profiler import PhaseCounters, PhaseProfiler
+from .profiler import PhaseCounters
 from .shm import (
     SHM_PREFIX,
     BarrierBrokenError,
@@ -64,7 +71,8 @@ from .shm import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph import Graph
     from ..observability.tracer import Tracer
-    from ..parallel.louvain import ParallelLouvainConfig, ParallelLouvainResult
+    from ..parallel.louvain import ParallelLouvainConfig
+    from ..parallel.partition import ModuloPartition
 
 __all__ = ["ProcessExecutionError", "process_louvain"]
 
@@ -105,44 +113,26 @@ def _parse_fault(rank: int) -> str | None:
 # ===================================================================== #
 
 
+@dataclass(frozen=True)
 class _WorkerCtx:
     """Everything a forked worker needs (inherited via fork, never pickled)."""
 
-    def __init__(
-        self,
-        *,
-        bus: SharedMemoryBus,
-        manifest: ShmManifest,
-        config: "ParallelLouvainConfig",
-        num_vertices: int,
-        num_edges: int,
-        level0_q: float,
-        sanitize: "bool | Sanitizer | None",
-        tracing: bool,
-        trace_queue,
-        result_queue,
-    ) -> None:
-        self.bus = bus
-        self.manifest = manifest
-        self.config = config
-        self.num_vertices = num_vertices
-        self.num_edges = num_edges
-        self.level0_q = level0_q
-        self.sanitize = sanitize
-        self.tracing = tracing
-        self.trace_queue = trace_queue
-        self.result_queue = result_queue
+    bus: SharedMemoryBus
+    manifest: ShmManifest
+    config: "ParallelLouvainConfig"
+    partition: "ModuloPartition"
+    num_edges: int
+    level0_q: float
+    sanitize: "bool | Sanitizer | None"
+    tracing: bool
+    trace_queue: Any
+    result_queue: Any
 
 
 def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
     from ..observability.tracer import NULL_TRACER, Tracer
     from ..parallel.louvain import _louvain_core
-    from ..parallel.partition import ModuloPartition
-    from ..parallel.vectorized import (
-        VectorBackend,
-        _check_weights,
-        _VectorRankState,
-    )
+    from ..parallel.vectorized import VectorBackend
 
     fault = _parse_fault(rank)
     if fault == "exit":
@@ -156,53 +146,40 @@ def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
 
             sink = QueueTraceSink(ctx.trace_queue)
             tracer = Tracer(sink=sink, buffer=False)
-        event_tracer = tracer if tracer.enabled else None
-        sanitizer = resolve_sanitizer(ctx.sanitize, tracer=event_tracer)
-        profiler = PhaseProfiler(ctx.config.num_ranks, tracer=event_tracer)
-        ctx.bus.bind(
-            rank,
-            profiler=profiler,
-            sanitizer=sanitizer,
+        ctx.bus.bind(rank)
+        sim = Simulation.create(
+            ctx.config.num_ranks,
             reorder_seed=ctx.config.reorder_seed,
+            tracer=tracer,
+            sanitize=ctx.sanitize,
+            bus=ctx.bus,
         )
         if fault == "raise":
             raise RuntimeError(f"injected fault in worker rank {rank}")
 
         reader = ManifestReader(ctx.manifest)
-        v = reader.read(f"rank{rank}/v")
-        u = reader.read(f"rank{rank}/u")
-        w = reader.read(f"rank{rank}/w")
+        shard = (rank, *(reader.read(f"rank{rank}/{col}") for col in "vuw"))
         initial_membership = None
         if "shared/initial_membership" in ctx.manifest:
             initial_membership = reader.read("shared/initial_membership")
         reader.close()
 
-        partition = ModuloPartition(ctx.num_vertices, ctx.config.num_ranks)
-        _check_weights(sanitizer, rank, w)
-        state = _VectorRankState(rank, partition, v, u, w)
-        sim = Simulation(
-            num_ranks=ctx.config.num_ranks,
-            bus=ctx.bus,  # type: ignore[arg-type]
-            profiler=profiler,
-            tracer=event_tracer,
-            sanitizer=sanitizer,
-        )
-        q0 = float(ctx.level0_q)
+        backend = VectorBackend()
         membership, level_labels, modularities, levels = _louvain_core(
             sim,
-            partition,
-            VectorBackend(),
-            [state],
+            ctx.partition,
+            backend,
+            backend.local_states(sim, ctx.partition, [shard]),
             ctx.config,
-            num_vertices=ctx.num_vertices,
+            num_vertices=ctx.partition.num_vertices,
             num_edges=ctx.num_edges,
             initial_membership=initial_membership,
-            level0_q=lambda: q0,
+            level0_q=lambda: ctx.level0_q,
             tracer=tracer,
         )
 
         payload: dict[str, Any] = {
-            "scopes": profiler.scopes,
+            "scopes": sim.profiler.scopes,
             "num_levels": len(levels),
             "bytes_moved": ctx.bus.bytes_moved,
         }
@@ -285,29 +262,26 @@ def _merge_phase_dicts(
 
 
 def process_louvain(
+    sim: Simulation,
+    partition: "ModuloPartition",
     graph: "Graph",
     config: "ParallelLouvainConfig",
     *,
-    initial_membership: np.ndarray | None = None,
-    tracer: "Tracer | None" = None,
-    sanitize: "bool | Sanitizer | None" = None,
-) -> "ParallelLouvainResult":
-    """Run parallel Louvain with one OS process per rank (the tentpole).
+    initial_membership: np.ndarray | None,
+    level0_q: float,
+    tracer: "Tracer",
+    sanitize: "bool | Sanitizer | None",
+) -> tuple[tuple, int]:
+    """Run ``_louvain_core`` with one forked OS process per rank.
 
-    Same contract as :func:`repro.parallel.louvain.parallel_louvain` (which
-    dispatches here when ``config.execution == "process"``); the returned
-    result carries a merged profiler whose per-rank counters match the
-    simulated run's, plus ``shm_bytes_moved`` -- the raw bytes the
-    shared-memory alltoallv actually carried.
+    :func:`repro.parallel.louvain.parallel_louvain` calls this when
+    ``config.execution == "process"``.  The workers' per-rank counters are
+    merged into ``sim.profiler``, so they match the simulated run's.
+    Returns rank 0's ``(membership, level_labels, modularities, levels)``
+    and the raw bytes the shared-memory bus carried, summed over workers.
     """
     import multiprocessing
 
-    from ..metrics.modularity import modularity_from_labels
-    from ..observability.tracer import NULL_TRACER
-    from ..parallel.louvain import ParallelLouvainResult
-    from ..parallel.partition import ModuloPartition
-
-    tracer = tracer if tracer is not None else NULL_TRACER
     try:
         mp_ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX
@@ -316,37 +290,14 @@ def process_louvain(
         ) from None
 
     P = config.num_ranks
-    partition = ModuloPartition(graph.num_vertices, P)
-    rows = graph.row_index()
-    cols = graph.indices
-    weights = graph.weights
-    owners = partition.owner(cols)
-    groups: dict[str, dict[str, np.ndarray]] = {}
-    for r in range(P):
-        mask = owners == r
-        groups[f"rank{r}"] = {
-            "v": rows[mask], "u": cols[mask], "w": weights[mask],
-        }
-    init_arr = None
+    groups: dict[str, dict[str, np.ndarray]] = {
+        f"rank{r}": {"v": v, "u": u, "w": w}
+        for r, v, u, w in partition.in_edge_shards(graph)
+    }
     if initial_membership is not None:
-        init_arr = np.asarray(initial_membership, dtype=np.int64)
-        groups["shared"] = {"initial_membership": init_arr}
-
-    # The overshoot guard's level-0 reference Q needs the whole graph, which
-    # workers do not hold; precompute the float they all close over.  Only
-    # meaningful when the run gets past the empty-graph early return.
-    if graph.num_vertices and float(np.sum(weights)) > 0.0:
-        q0 = modularity_from_labels(
-            graph,
-            (
-                init_arr
-                if init_arr is not None
-                else np.arange(graph.num_vertices, dtype=np.int64)
-            ),
-            resolution=config.resolution,
-        )
-    else:
-        q0 = 0.0
+        groups["shared"] = {
+            "initial_membership": np.asarray(initial_membership, dtype=np.int64)
+        }
 
     prefix = f"{SHM_PREFIX}{os.getpid():x}x{os.urandom(4).hex()}"
     payloads: dict[int, dict[str, Any]] = {}
@@ -372,9 +323,9 @@ def process_louvain(
             bus=bus,
             manifest=manifest,
             config=config,
-            num_vertices=graph.num_vertices,
+            partition=partition,
             num_edges=graph.num_edges,
-            level0_q=q0,
+            level0_q=level0_q,
             sanitize=sanitize,
             tracing=tracer.enabled,
             trace_queue=trace_queue,
@@ -465,25 +416,9 @@ def process_louvain(
                 f"levels but rank 0 recorded {root['num_levels']}: the SPMD "
                 "control flow diverged"
             )
-    profiler = PhaseProfiler(P, tracer=tracer if tracer.enabled else None)
-    profiler.scopes = _merge_phase_dicts([w["scopes"] for w in workers])
-
-    sim = Simulation(
-        num_ranks=P,
-        bus=MessageBus(P, profiler),
-        profiler=profiler,
-        tracer=tracer if tracer.enabled else None,
-        sanitizer=NULL_SANITIZER,
+    sim.profiler.scopes = _merge_phase_dicts([w["scopes"] for w in workers])
+    outcome = (
+        root["membership"], root["level_labels"], root["modularities"],
+        root["levels"],
     )
-    result = ParallelLouvainResult(
-        membership=root["membership"],
-        level_labels=root["level_labels"],
-        modularities=root["modularities"],
-        levels=root["levels"],
-        simulation=sim,
-        config=config,
-    )
-    # Raw bytes the shared-memory alltoallv/collectives carried, summed over
-    # workers (distinct from the profiler's modeled wire bytes).
-    result.shm_bytes_moved = sum(int(w["bytes_moved"]) for w in workers)
-    return result
+    return outcome, sum(int(w["bytes_moved"]) for w in workers)

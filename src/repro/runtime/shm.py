@@ -9,15 +9,15 @@ in-process bus.  Three pieces:
   (:class:`ShmManifest`) describing numpy arrays packed into named shared
   segments.  The parent publishes each rank's CSR edge shard (and the
   warm-start membership) once; workers read their shard by name.
-* :class:`SharedMemoryBus` -- a drop-in peer of
-  :class:`~repro.runtime.comm.MessageBus` with *local-rank* call semantics:
-  every worker passes exactly its own outbox / contribution, and the bus
-  resolves the collective against all ``P`` peers.  The alltoallv is pure
-  byte movement: per-destination contiguous array slices are written into a
-  preallocated shared send region next to a counts/displs header; receivers
-  assemble inboxes straight from the peers' regions.  **No per-message
-  Python objects are pickled** -- only raw bytes plus a fixed int64 header
-  row cross process boundaries (and the bus itself refuses pickling).
+* :class:`SharedMemoryBus` -- the process-mode transport under the bus
+  front end (:class:`~repro.runtime.comm.Bus`): every worker passes exactly
+  its own outbox / contribution, and the bus resolves the op against all
+  ``P`` peers.  The alltoallv is pure byte movement: per-destination
+  contiguous array slices are written into a preallocated shared send
+  region next to a counts/dtypes header; receivers assemble inboxes
+  straight from the peers' regions.  **No per-message Python objects are
+  pickled** -- only raw bytes plus a fixed int64 header row cross process
+  boundaries (and the bus itself refuses pickling).
 * :func:`leaked_segments` -- the ``/dev/shm`` leak scan used by tests/CI.
 
 Synchronization protocol (see DESIGN.md): each bus operation is one
@@ -30,10 +30,11 @@ under a generation counter carried in the header; readers re-attach when the
 generation changes, and the stale segment is unlinked immediately (existing
 mappings stay valid on Linux).
 
-Determinism: inbox parts concatenate in ascending source-rank order and
-collective contributions fold in ascending rank order -- exactly the
-simulated bus's folds -- so every float and every branch input is
-bit-identical to ``execution="simulated"``.
+Determinism: this module only moves bytes.  The front end it shares with
+the in-process :class:`~repro.runtime.comm.MessageBus` concatenates inbox
+parts in ascending source-rank order, folds collective contributions in
+ascending rank order and draws the failure-injection permutations, so every
+float and every branch input is bit-identical to ``execution="simulated"``.
 """
 
 from __future__ import annotations
@@ -46,10 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.sanitizer import NULL_SANITIZER, Sanitizer
-from ..kernels import group_by_destination
-from .comm import charge_superstep
-from .profiler import PhaseProfiler
+from .comm import Bus
 
 __all__ = [
     "SHM_PREFIX",
@@ -141,30 +139,24 @@ _DTYPE_CODE = {np.dtype(name): code for code, name in enumerate(_DTYPE_NAMES)}
 _CODE_DTYPE = tuple(np.dtype(name) for name in _DTYPE_NAMES)
 _ITEMSIZE = np.array([dt.itemsize for dt in _CODE_DTYPE], dtype=np.int64)
 
-# Operation kind codes (header word W_KIND; divergence guard).
-_K_ALLTOALLV = 1
-_K_SUM = 3
-_K_MAX = 4
-_K_GATHER = 5
-_K_BARRIER = 6
-_K_SIDE_SUM = 7
-_K_SIDE_GATHER = 8
+#: Operation kind codes (header word W_KIND; divergence guard).
+_KINDS = {
+    "exchange": 1, "allreduce_sum": 3, "allreduce_max": 4, "allgather": 5,
+    "barrier": 6, "side_sum": 7, "side_gather": 8,
+}
 
 # Header row layout (int64 words per (rank, slot)).
 _W_SEQ = 0       # bus operation sequence number
 _W_KIND = 1      # kind code above
-_W_PART = 2      # participation flag (0 = None outbox)
-_W_ARITY = 3     # exchange column count (-1 = undetermined)
-_W_GEN = 4       # generation of this rank+slot's payload segment
-_W_NBYTES = 5    # payload bytes written this operation
-_W_CDTYPE = 6    # collective: dtype code
-_W_CNDIM = 7     # collective: ndim (<= 4)
-_W_CSHAPE = 8    # collective: shape[0..3] (4 words)
-_W_COUNTS = 12   # exchange: per-destination record counts (P words)
+_W_ARITY = 2     # exchange column count (-1 = the rank passed no outbox)
+_W_GEN = 3       # generation of this rank+slot's payload segment
+_W_NBYTES = 4    # payload bytes written this operation
+_W_CDTYPE = 5    # collective: dtype code
+_W_CNDIM = 6     # collective: ndim (<= 4)
+_W_CSHAPE = 7    # collective: shape[0..3] (4 words)
+_W_COUNTS = 11   # exchange: per-destination record counts (P words)
 # then per-(destination, column) dtype codes: P * _MAX_COLS words
 _MAX_COLS = 6
-
-_MISSING = object()  # sanitizer pseudo-outbox placeholder for participants
 
 
 class ShmProtocolError(RuntimeError):
@@ -319,46 +311,35 @@ class ManifestReader:
 
 
 # ===================================================================== #
-# The process-parallel bus
+# The process-parallel transport
 # ===================================================================== #
 
 
-class _LocalExchangeResult:
-    """Single-rank inbox; mirrors ``ExchangeResult.inbox(rank)``."""
-
-    __slots__ = ("rank", "columns")
-
-    def __init__(self, rank: int, columns: tuple[np.ndarray, ...]) -> None:
-        self.rank = rank
-        self.columns = columns
-
-    def inbox(self, rank: int) -> tuple[np.ndarray, ...]:
-        if rank != self.rank:
-            raise ValueError(
-                f"rank {self.rank} worker holds only its own inbox "
-                f"(asked for rank {rank})"
-            )
-        return self.columns
-
-    def __reduce__(self):
-        raise TypeError("exchange inboxes are per-process and never pickled")
+def _copy_in(seg: ShmBlock, arrays: list[np.ndarray]) -> None:
+    """Write contiguous ``arrays`` back to back from the segment's start."""
+    off = 0
+    for arr in arrays:
+        dst = np.ndarray((arr.nbytes,), dtype=np.uint8, buffer=seg.buf, offset=off)
+        dst[:] = arr.reshape(-1).view(np.uint8)
+        off += arr.nbytes
 
 
-class SharedMemoryBus:
-    """Alltoallv + collectives over shared memory with local-rank calls.
+class SharedMemoryBus(Bus):
+    """The :class:`~repro.runtime.comm.Bus` transport between processes.
 
     The parent builds the bus **before forking** (:meth:`create`); every
-    worker then calls :meth:`bind` with its rank, profiler and sanitizer.
-    The call signatures intentionally mirror
-    :class:`~repro.runtime.comm.MessageBus`, except that the per-rank lists
-    carry exactly the *local* rank's entry -- the SPMD driver loops over its
-    local rank states, which in process mode is a one-element list.
+    worker then calls :meth:`bind` with its rank, and
+    :meth:`~repro.runtime.engine.Simulation.create` wires in the worker's
+    profiler, sanitizer and reorder RNG.  The front end's per-rank lists
+    carry exactly the worker's own entry: its one local rank.
 
-    Traffic accounting is mode-identical: each worker charges its own sends
-    to its own profiler column (the parent sums columns across workers), the
-    superstep/collective counters advance identically on every worker, and
-    the tracing worker reconstructs the *global* per-rank superstep volumes
-    from the shared counts header.
+    This class only moves bytes: the header rows, the double-buffered
+    payload slots and their generations, the barrier with its lockstep
+    check, and the segment lifecycle.  Each worker charges its own sends to
+    its own profiler column (the parent sums columns across workers); the
+    superstep and collective counters advance identically on every worker,
+    and the shared counts header gives the tracing worker the *global*
+    per-rank superstep volumes.
     """
 
     def __init__(
@@ -370,12 +351,10 @@ class SharedMemoryBus:
         slot_bytes: int,
         timeout: float,
     ) -> None:
-        self.num_ranks = int(num_ranks)
+        super().__init__(num_ranks)
+        self.local_ranks = ()
         self.prefix = prefix
         self.rank = -1
-        self.profiler: PhaseProfiler | None = None
-        self.reorder_rng: np.random.Generator | None = None
-        self.sanitizer: Sanitizer = NULL_SANITIZER
         #: Actual payload bytes written by this process (not modeled bytes).
         self.bytes_moved = 0
         self._barrier = barrier
@@ -419,24 +398,12 @@ class SharedMemoryBus:
                 bus._cache[(rank, slot)] = (0, seg)
         return bus
 
-    def bind(
-        self,
-        rank: int,
-        *,
-        profiler: PhaseProfiler | None = None,
-        sanitizer: Sanitizer | None = None,
-        reorder_seed: int | None = None,
-    ) -> None:
+    def bind(self, rank: int) -> None:
         """Worker-side attachment (call once, after fork)."""
         if not 0 <= rank < self.num_ranks:
             raise ValueError(f"rank {rank} out of range")
         self.rank = int(rank)
-        self.profiler = profiler
-        self.sanitizer = sanitizer if sanitizer is not None else NULL_SANITIZER
-        self.reorder_rng = (
-            np.random.default_rng(reorder_seed)
-            if reorder_seed is not None else None
-        )
+        self.local_ranks = (self.rank,)
         assert self._hdr is not None
         self._hv = np.ndarray(
             (self.num_ranks * 2 * self._row_words,),
@@ -475,7 +442,7 @@ class SharedMemoryBus:
         )
 
     # -------------------------------------------------------------- #
-    # Internal plumbing
+    # Slots, header rows and the barrier
     # -------------------------------------------------------------- #
 
     def _seg_name(self, rank: int, slot: int, gen: int) -> str:
@@ -485,15 +452,6 @@ class SharedMemoryBus:
         assert self._hv is not None
         base = (rank * 2 + slot) * self._row_words
         return self._hv[base:base + self._row_words]
-
-    def _sync(self) -> None:
-        try:
-            self._barrier.wait(timeout=self._timeout)
-        except threading.BrokenBarrierError:
-            raise BarrierBrokenError(
-                f"rank {self.rank}: superstep barrier broken at bus op "
-                f"{self._op} (a peer worker died or the run was aborted)"
-            ) from None
 
     def _writer_segment(self, slot: int, nbytes: int) -> tuple[int, ShmBlock]:
         gen, shm = self._cache[(self.rank, slot)]
@@ -517,177 +475,95 @@ class SharedMemoryBus:
         self._cache[(src, slot)] = (gen, shm)
         return shm
 
-    def _check_lockstep(self, slot: int, kind: int) -> None:
-        for r in range(self.num_ranks):
-            row = self._row(r, slot)
+    def _begin(self, kind: int, nbytes: int) -> tuple[int, np.ndarray, ShmBlock]:
+        """Open the next bus op: its slot, header row and payload segment."""
+        self._op += 1
+        slot = self._op % 2
+        gen, seg = self._writer_segment(slot, nbytes)
+        row = self._row(self.rank, slot)
+        row[_W_SEQ] = self._op
+        row[_W_KIND] = kind
+        row[_W_GEN] = gen
+        row[_W_NBYTES] = nbytes
+        self.bytes_moved += nbytes
+        return slot, row, seg
+
+    def _finish(self, slot: int, kind: int) -> list[np.ndarray]:
+        """Wait for every rank, then return all header rows of this op."""
+        try:
+            self._barrier.wait(timeout=self._timeout)
+        except threading.BrokenBarrierError:
+            raise BarrierBrokenError(
+                f"rank {self.rank}: superstep barrier broken at bus op "
+                f"{self._op} (a peer worker died or the run was aborted)"
+            ) from None
+        rows = [self._row(r, slot) for r in range(self.num_ranks)]
+        for r, row in enumerate(rows):
             if int(row[_W_SEQ]) != self._op or int(row[_W_KIND]) != kind:
                 raise ShmProtocolError(
                     f"rank {self.rank}: SPMD divergence at bus op {self._op} "
                     f"(kind {kind}): rank {r} is at op {int(row[_W_SEQ])} "
                     f"kind {int(row[_W_KIND])}"
                 )
-
-    def _single(self, values: list, what: str):
-        if len(values) != 1:
-            raise ValueError(
-                f"process-mode bus takes exactly the local rank's {what} "
-                f"(got {len(values)})"
-            )
-        return values[0]
+        return rows
 
     # -------------------------------------------------------------- #
-    # alltoallv
+    # Transport hooks
     # -------------------------------------------------------------- #
 
-    def exchange(self, outboxes: list) -> _LocalExchangeResult:
-        """One alltoallv superstep from this rank's ungrouped outbox."""
-        box = self._single(outboxes, "outbox")
-        return self.exchange_grouped(
-            [None if box is None else group_by_destination(box, self.num_ranks)]
-        )
-
-    def exchange_grouped(self, outboxes: list) -> _LocalExchangeResult:
-        """One alltoallv superstep from caller-pregrouped per-dest parts."""
-        box = self._single(outboxes, "outbox")
-        participating = box is not None
-        parts: list[tuple[np.ndarray, ...]] | None = None
-        arity = -1
-        if participating:
-            if len(box) != self.num_ranks:
-                raise ValueError("grouped outbox must list every destination")
-            for part in box:
-                if part:
-                    arity = len(part)
-                    break
-            parts = [tuple(np.asarray(c) for c in part) for part in box]
-            for part in parts:
-                n = part[0].shape[0] if part else 0
-                for col in part[1:]:
-                    if col.shape[0] != n:
-                        raise ValueError("columns must match part length")
+    def _deliver(self, boxes, shapes):
+        """Byte-level alltoallv: write this rank's parts, read its inbox."""
+        (box,), (shape,) = boxes, shapes
         P = self.num_ranks
-        me = self.rank
-        self._op += 1
-        slot = self._op % 2
-        row = self._row(me, slot)
-        gen, _ = self._cache[(me, slot)]
-
-        counts = np.zeros(P, dtype=np.int64)
+        arity, counts = (-1, np.zeros(P, dtype=np.int64)) if box is None else shape
+        if arity > _MAX_COLS:
+            raise ValueError(
+                f"the shared-memory bus carries at most {_MAX_COLS} columns "
+                f"(got {arity})"
+            )
         codes = np.zeros((P, _MAX_COLS), dtype=np.int64)
-        total = 0
-        if parts is not None and arity >= 1:
-            for d, part in enumerate(parts):
-                if len(part) != arity:
-                    raise ValueError("all outboxes must have the same arity")
-                n = int(part[0].shape[0]) if part else 0
-                counts[d] = n
-                for j, col in enumerate(part):
-                    code = _DTYPE_CODE.get(col.dtype)
-                    if code is None:
-                        raise TypeError(
-                            f"unsupported exchange dtype {col.dtype}"
-                        )
-                    codes[d, j] = code
-                    total += n * col.dtype.itemsize
-            gen, seg = self._writer_segment(slot, total)
-            off = 0
-            for d, part in enumerate(parts):
-                if counts[d] == 0:
-                    continue
-                for col in part:
-                    a = np.ascontiguousarray(col)
-                    nb = a.nbytes
-                    dst = np.ndarray(
-                        (nb,), dtype=np.uint8, buffer=seg.buf, offset=off
-                    )
-                    dst[:] = a.reshape(-1).view(np.uint8)
-                    off += nb
-            self.bytes_moved += total
-
-        row[_W_SEQ] = self._op
-        row[_W_KIND] = _K_ALLTOALLV
-        row[_W_PART] = 1 if participating else 0
+        payload: list[np.ndarray] = []
+        for d in range(P if arity > 0 else 0):
+            for j, col in enumerate(box[d]):
+                col = np.ascontiguousarray(col)
+                code = _DTYPE_CODE.get(col.dtype)
+                if code is None:
+                    raise TypeError(f"unsupported exchange dtype {col.dtype}")
+                codes[d, j] = code
+                if counts[d]:
+                    payload.append(col)
+        slot, row, seg = self._begin(
+            _KINDS["exchange"], sum(col.nbytes for col in payload)
+        )
+        _copy_in(seg, payload)
         row[_W_ARITY] = arity
-        row[_W_GEN] = gen
-        row[_W_NBYTES] = total
         row[_W_COUNTS:_W_COUNTS + P] = counts
         row[_W_COUNTS + P:] = codes.reshape(-1)
-        self._sync()
+        rows = self._finish(slot, _KINDS["exchange"])
 
-        rows = [self._row(r, slot) for r in range(P)]
-        self._check_lockstep(slot, _K_ALLTOALLV)
-        flags = [bool(rows[r][_W_PART]) for r in range(P)]
-        if self.sanitizer.enabled:
-            phase = (
-                self.profiler.current_phase if self.profiler is not None else None
-            )
-            pseudo = [(_MISSING if f else None) for f in flags]
-            self.sanitizer.check_exchange_participation(pseudo, phase=phase)
-
-        g_arity = None
-        for r in range(P):
-            if flags[r] and int(rows[r][_W_ARITY]) >= 1:
-                g_arity = int(rows[r][_W_ARITY])
-                break
-        if g_arity is None:
-            # No source determined an arity: mirror the simulated bus's
-            # degenerate single-int64-column result, with no superstep
-            # accounting (the barrier above still kept ranks in lockstep).
-            empty = (np.empty(0, dtype=np.int64),)
-            return _LocalExchangeResult(me, empty)
-        for r in range(P):
-            if flags[r] and int(rows[r][_W_ARITY]) not in (-1, g_arity):
-                raise ValueError("all outboxes must have the same arity")
-
-        cmat = np.zeros((P, P), dtype=np.int64)
-        for r in range(P):
-            if flags[r]:
-                cmat[r] = rows[r][_W_COUNTS:_W_COUNTS + P]
-
-        col_parts: list[list[np.ndarray]] = [[] for _ in range(g_arity)]
-        for src in range(P):
+        arities = [int(r[_W_ARITY]) for r in rows]
+        cmat = np.array([r[_W_COUNTS:_W_COUNTS + P] for r in rows])
+        me = self.rank
+        received = []
+        for src, r in enumerate(rows):
             n = int(cmat[src, me])
-            if not flags[src] or n == 0:
+            if n == 0:
                 continue
-            src_codes = (
-                rows[src][_W_COUNTS + P:].reshape(P, _MAX_COLS)[:, :g_arity]
-            )
+            src_codes = r[_W_COUNTS + P:].reshape(P, _MAX_COLS)[:, :arities[src]]
             per_record = _ITEMSIZE[src_codes].sum(axis=1)
             off = int((cmat[src, :me] * per_record[:me]).sum())
-            shm = self._reader_segment(src, slot, int(rows[src][_W_GEN]))
-            for j in range(g_arity):
-                dt = _CODE_DTYPE[int(src_codes[me, j])]
-                col_parts[j].append(
-                    np.ndarray((n,), dtype=dt, buffer=shm.buf, offset=off)
-                )
+            shm = self._reader_segment(src, slot, int(r[_W_GEN]))
+            cols = []
+            for code in src_codes[me].tolist():
+                dt = _CODE_DTYPE[code]
+                cols.append(np.ndarray((n,), dtype=dt, buffer=shm.buf, offset=off))
                 off += n * dt.itemsize
-        if col_parts[0]:
-            cols = tuple(np.concatenate(col_parts[j]) for j in range(g_arity))
-        else:
-            cols = tuple(np.empty(0, dtype=np.int64) for _ in range(g_arity))
+            received.append(tuple(cols))
+        return arities, cmat, [received]
 
-        if self.reorder_rng is not None:
-            # Failure-injection parity: the simulated bus draws one
-            # permutation per destination (in destination order); every
-            # worker consumes the identical RNG stream and applies only its
-            # own draw, so the delivered orders match bit-for-bit.
-            sizes = cmat.sum(axis=0)
-            for d in range(P):
-                if sizes[d] > 1:
-                    perm = self.reorder_rng.permutation(int(sizes[d]))
-                    if d == me:
-                        cols = tuple(c[perm] for c in cols)
-
-        # Each worker charges its own sends; the count matrix gives every
-        # worker the same global volumes for the superstep event.
-        charge_superstep(self.profiler, cmat, g_arity, (me,))
-        return _LocalExchangeResult(me, cols)
-
-    # -------------------------------------------------------------- #
-    # Collectives (raw dtype/shape/bytes encoding; rank-order folds)
-    # -------------------------------------------------------------- #
-
-    def _collective(self, value, kind: int) -> list[np.ndarray]:
+    def _gather(self, values, op):
+        """Every rank's contribution as raw dtype/shape/bytes."""
+        (value,) = values
         arr = np.asarray(value)
         if not arr.flags.c_contiguous:
             # NB: np.ascontiguousarray promotes 0-d to 1-d (ndmin=1), which
@@ -702,96 +578,25 @@ class SharedMemoryBus:
             )
         if arr.ndim > 4:
             raise ValueError("collective contributions support ndim <= 4")
-        P = self.num_ranks
-        me = self.rank
-        self._op += 1
-        slot = self._op % 2
-        gen, seg = self._writer_segment(slot, arr.nbytes)
-        if arr.nbytes:
-            dst = np.ndarray((arr.nbytes,), dtype=np.uint8, buffer=seg.buf)
-            dst[:] = arr.reshape(-1).view(np.uint8)
-        self.bytes_moved += arr.nbytes
-        row = self._row(me, slot)
-        row[_W_SEQ] = self._op
-        row[_W_KIND] = kind
-        row[_W_PART] = 1
-        row[_W_ARITY] = -1
-        row[_W_GEN] = gen
-        row[_W_NBYTES] = arr.nbytes
+        kind = _KINDS[op]
+        slot, row, seg = self._begin(kind, arr.nbytes)
+        _copy_in(seg, [arr])
         row[_W_CDTYPE] = code
         row[_W_CNDIM] = arr.ndim
-        shape = list(arr.shape) + [0] * (4 - arr.ndim)
-        row[_W_CSHAPE:_W_CSHAPE + 4] = shape
-        self._sync()
-        self._check_lockstep(slot, kind)
+        row[_W_CSHAPE:_W_CSHAPE + 4] = list(arr.shape) + [0] * (4 - arr.ndim)
+        rows = self._finish(slot, kind)
         out: list[np.ndarray] = []
-        for r in range(P):
-            if r == me:
+        for r, rrow in enumerate(rows):
+            if r == self.rank:
                 out.append(arr)
                 continue
-            rrow = self._row(r, slot)
             dt = _CODE_DTYPE[int(rrow[_W_CDTYPE])]
             ndim = int(rrow[_W_CNDIM])
             rshape = tuple(int(d) for d in rrow[_W_CSHAPE:_W_CSHAPE + ndim])
             shm = self._reader_segment(r, slot, int(rrow[_W_GEN]))
-            view = np.ndarray(rshape, dtype=dt, buffer=shm.buf)
-            out.append(view.copy())
+            out.append(np.ndarray(rshape, dtype=dt, buffer=shm.buf).copy())
         return out
 
-    def allreduce_sum(self, values: list):
-        """Global sum folded in ascending rank order (simulated-bus fold)."""
-        contribs = self._collective(self._single(values, "contribution"), _K_SUM)
-        total = contribs[0]
-        for v in contribs[1:]:
-            total = total + v
-        if self.profiler is not None:
-            self.profiler.add_collective()
-        return total
-
-    def allreduce_max(self, values: list):
-        contribs = self._collective(self._single(values, "contribution"), _K_MAX)
-        total = contribs[0]
-        for v in contribs[1:]:
-            total = np.maximum(total, v)
-        if self.profiler is not None:
-            self.profiler.add_collective()
-        return total
-
-    def allgather(self, values: list) -> list:
-        out = self._collective(self._single(values, "contribution"), _K_GATHER)
-        if self.profiler is not None:
-            self.profiler.add_collective()
-        return out
-
-    def side_sum(self, values: list):
-        """Unprofiled sum for driver bookkeeping (not algorithm traffic)."""
-        contribs = self._collective(
-            self._single(values, "contribution"), _K_SIDE_SUM
-        )
-        total = contribs[0]
-        for v in contribs[1:]:
-            total = total + v
-        return total
-
-    def side_gather(self, values: list) -> list:
-        """Unprofiled allgather for driver bookkeeping."""
-        return self._collective(
-            self._single(values, "contribution"), _K_SIDE_GATHER
-        )
-
-    def barrier(self) -> None:
-        P = self.num_ranks
-        self._op += 1
-        slot = self._op % 2
-        row = self._row(self.rank, slot)
-        gen, _ = self._cache[(self.rank, slot)]
-        row[_W_SEQ] = self._op
-        row[_W_KIND] = _K_BARRIER
-        row[_W_PART] = 1
-        row[_W_ARITY] = -1
-        row[_W_GEN] = gen
-        row[_W_NBYTES] = 0
-        self._sync()
-        self._check_lockstep(slot, _K_BARRIER)
-        if self.profiler is not None:
-            self.profiler.add_collective()
+    def _sync(self, op):
+        slot, _, _ = self._begin(_KINDS[op], 0)
+        self._finish(slot, _KINDS[op])

@@ -151,7 +151,10 @@ def _parse_edge_rows(rows, what: str):
         dst.append(_int(row[1], f"{what}[{i}][1]", lo=0, hi=MAX_VERTICES))
         if len(row) == 3:
             weighted = True
-            wt.append(_number(row[2], f"{what}[{i}][2]"))
+            w = _number(row[2], f"{what}[{i}][2]")
+            if w < 0:
+                raise _BadRequest(f"{what}[{i}][2] must be >= 0, got {row[2]!r}")
+            wt.append(w)
         else:
             wt.append(1.0)
     return (

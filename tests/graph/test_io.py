@@ -74,6 +74,10 @@ class TestEdgeList:
             ("0 1\n1 2\n2 x", "line 5: vertex id 'x' is not an integer"),
             ("0 1 1.0\n1 -4 1.0", "line 4: vertex id -4 is negative"),
             ("0 1 1.0\n1 2 1,5", "line 4: weight '1,5' is not a number"),
+            ("0 1 nan", "line 3: weight 'nan' is not a finite non-negative number"),
+            ("0 1 inf", "line 3: weight 'inf' is not a finite non-negative number"),
+            ("0 1 -5", "line 3: weight '-5' is not a finite non-negative number"),
+            ("0 1 1.0\n1 2 -5", "line 4: weight '-5' is not a finite non-negative number"),
         ],
     )
     def test_malformed_line_names_its_number(self, tmp_path, rows, cause):

@@ -102,6 +102,7 @@ BODIES = [
     ("/graph", {"edges": [[0, 10**12]]}),
     ("/graph", {"edges": [[-1, 2]]}),
     ("/graph", {"edges": [[0, True]]}),
+    ("/graph", {"edges": [[0, 1, -5]]}),
     ("/graph", {"edges": 7}),
     ("/graph", {"edges": [[0, 1]], "algorithm": "bogus"}),
     ("/graph", {"edges": [[0, 1]], "algorithm": 5}),

@@ -132,6 +132,21 @@ class TestEdgeListErrors:
         assert captured.err == f"repro: {path}: No such file or directory\n"
         assert captured.out == ""
 
+    # `serve --graph` reads through the same `_read_graph`; left out here
+    # because a serve that accepted the file would block the test.
+    @pytest.mark.parametrize("command", [["detect"], ["info"]])
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-5"])
+    def test_bad_weight(self, command, weight, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0 1 {weight}\n1 2 1\n2 0 1\n")
+        assert main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro: {path}: line 1: weight '{weight}' is not a finite "
+            "non-negative number\n"
+        )
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", EDGE_LIST_COMMANDS)
     def test_malformed_file(self, command, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -252,6 +267,16 @@ class TestTraceGolden:
         assert "DRIFT" in captured.out
         assert "Golden-trace drift" in captured.out
         assert "golden-trace gate failed" in captured.err
+
+    def test_compare_rejects_process_with_hash_backend(self, capsys):
+        # The same refusal `repro detect` prints, before any golden runs.
+        rc = main([
+            "trace", "compare", "--execution", "process", "--backend", "hash",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "--execution process requires --backend vector\n"
+        assert captured.out == ""
 
     def test_compare_missing_golden_hints_record(self, tmp_path, capsys):
         rc = main(["trace", "compare", "lfr-small", "--dir", str(tmp_path)])

@@ -47,7 +47,10 @@ class TestPublicSurface:
 #: Modules that ``import repro`` and a detection run must not load: detection
 #: calls none of them, and each costs cold-start time.
 DEFERRED_MODULES = ("scipy", "repro.harness", "repro.service", "repro.bench",
-                    "repro.loadgen")
+                    "repro.loadgen", "repro.analysis.linter",
+                    "repro.analysis.checkers", "repro.analysis.locks",
+                    "repro.analysis.cfg", "repro.analysis.dataflow",
+                    "repro.analysis.findings")
 
 IMPORT_PROBE = textwrap.dedent("""
     import json, sys
@@ -62,7 +65,9 @@ IMPORT_PROBE = textwrap.dedent("""
     repro.detect_communities(graph, backend="vector", num_ranks=2)
     after_detect = loaded()
     resolved = [repro.harness.__name__, repro.service.__name__,
-                repro.DetectionService.__name__]
+                repro.DetectionService.__name__,
+                repro.analysis.run_checks.__name__,
+                len(repro.analysis.CHECKERS) > 0]
     print(json.dumps([after_import, after_detect, resolved]))
 """)
 
@@ -79,7 +84,8 @@ class TestImportWeight:
         after_import, after_detect, resolved = json.loads(proc.stdout)
         assert after_import == []
         assert after_detect == []
-        assert resolved == ["repro.harness", "repro.service", "DetectionService"]
+        assert resolved == ["repro.harness", "repro.service", "DetectionService",
+                            "run_checks", True]
 
 
 class TestRepositoryArtifacts:
