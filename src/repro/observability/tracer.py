@@ -96,12 +96,36 @@ class Tracer:
                 return self._emit(kind, name, rank, data)
         return self._emit(kind, name, rank, data)
 
+    def replay(self, event: TraceEvent, origin: float) -> TraceEvent | None:
+        """Re-emit another tracer's event at the time it was emitted.
+
+        ``origin`` is that tracer's :attr:`origin` on this tracer's clock --
+        a process-mode worker forked from this process shares its
+        ``perf_counter`` -- so the event keeps its place on this tracer's
+        time axis.  It takes this tracer's next ``seq``.
+        """
+        ts = event.ts + (origin - self._t0)
+        if self._lock is not None:
+            with self._lock:
+                return self._emit(event.kind, event.name, event.rank, event.data, ts)
+        return self._emit(event.kind, event.name, event.rank, event.data, ts)
+
+    @property
+    def origin(self) -> float:
+        """The clock reading event times count from."""
+        return self._t0
+
     def _emit(
-        self, kind: str, name: str, rank: int | None, data: dict[str, Any]
+        self,
+        kind: str,
+        name: str,
+        rank: int | None,
+        data: dict[str, Any],
+        ts: float | None = None,
     ) -> TraceEvent:
         ev = TraceEvent(
-            seq=self._seq, ts=self._now(), kind=kind, name=name,
-            rank=rank, data=data,
+            seq=self._seq, ts=self._now() if ts is None else ts, kind=kind,
+            name=name, rank=rank, data=data,
         )
         self._seq += 1
         if self._buffer:
@@ -286,6 +310,9 @@ class NullTracer(Tracer):
 
     def emit(self, kind, name, *, rank=None, **data):
         return None  # pragma: no cover - trivial
+
+    def replay(self, event, origin):
+        return None
 
     def close(self):
         pass

@@ -19,6 +19,13 @@ and ``Σ_in^c``.  Ranks never read each other's state directly; everything
 flows through :class:`~repro.runtime.MessageBus` exchanges, so each inner
 iteration sees exactly the stale community snapshot the paper's algorithm
 sees (§III, challenge 2).
+
+Each phase's superstep schedule -- which per-rank kernel runs, which
+exchange or collective follows, what each rank is charged -- is written
+once, in :class:`_Schedule`.  The two data planes differ only in their
+rank-state class, whose methods are the kernels: the paper-faithful
+:class:`_RankState` here (EdgeHashTable In/Out tables) and the flat-array
+state of :mod:`repro.parallel.vectorized`.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import numpy as np
 
 from ..analysis.sanitizer import Sanitizer
 from ..graph import Graph
+from ..kernels import group_by_destination
 from ..metrics.modularity import modularity_from_labels
 from ..observability.tracer import NULL_TRACER, Tracer
 from ..runtime import Simulation
@@ -41,7 +49,7 @@ from .heuristic import (
     threshold_from_histogram,
 )
 from .partition import ModuloPartition
-from .tables import RankTables, build_in_tables
+from .tables import RankTables
 
 __all__ = [
     "ParallelLouvainConfig",
@@ -177,11 +185,21 @@ class ParallelLouvainResult:
 # ===================================================================== #
 
 
-class _RankState:
-    """Everything one rank owns at one level."""
+class _RankStateBase:
+    """What every backend's rank state holds, and the kernels that read no table.
+
+    A rank state is everything one rank owns at one level; its methods are
+    the rank's share of each superstep (see :class:`_Schedule`).  The
+    shared UPDATE and warm-start code reads ``owned`` / ``strength`` /
+    ``community`` / ``tot`` / ``size``, and the tracer and sanitizer hooks
+    read ``tables.in_table`` / ``tables.out_table`` through ``items()`` /
+    ``len()`` / ``stats()``.  ``build_ops`` is the work of building the
+    state from its in-edge shard, charged when RECONSTRUCTION builds it.
+    """
 
     __slots__ = (
         "rank",
+        "partition",
         "owned",  # global ids of owned vertices, ascending
         "strength",  # k_u per owned vertex (local index order)
         "self_adj",  # A_uu per owned vertex
@@ -189,13 +207,99 @@ class _RankState:
         "tot",  # authoritative sigma_tot per owned *community* (local idx)
         "size",  # authoritative member count per owned community
         "tables",
+        "build_ops",
+    )
+
+    def sigma_reply(self, inbox, in_order: bool):
+        """Σ_tot fetch, second superstep: answer requests for owned communities.
+
+        An in-order inbox concatenates per-source parts in rank order, so its
+        requester column is sorted and splits by ``searchsorted``; failure
+        injection permutes inboxes, and then the reply is regrouped.  Either
+        way each requester's records keep their arrival order.
+
+        Returns ``(reply, records_answered)``.
+        """
+        num_ranks = self.partition.num_ranks
+        c_req, who = inbox
+        c_req = np.asarray(c_req, dtype=np.int64)
+        who = np.asarray(who, dtype=np.int64)
+        local = self.partition.to_local(c_req)
+        vals = self.tot[local] if c_req.size else np.empty(0)
+        sizes = self.size[local] if c_req.size else np.empty(0, dtype=np.int64)
+        if not in_order:
+            reply = group_by_destination((who, c_req, vals, sizes), num_ranks)
+            return reply, int(c_req.size)
+        bounds = np.searchsorted(
+            who, np.arange(num_ranks + 1, dtype=np.int64)
+        ).tolist()
+        reply = [
+            (c_req[a:b], vals[a:b], sizes[a:b])
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        return reply, int(c_req.size)
+
+    def modularity_partial(
+        self, inbox, m: float, resolution: float
+    ) -> tuple[float, int]:
+        """MODULARITY receive half: this rank's Q term and records scanned.
+
+        ``np.bincount`` folds the received Σ_in weights in arrival order, as
+        ``np.add.at`` would.
+        """
+        c_in, w_in = inbox
+        c_in = np.asarray(c_in, dtype=np.int64)
+        if c_in.size:
+            acc = np.bincount(
+                self.partition.to_local(c_in),
+                weights=np.asarray(w_in, dtype=np.float64),
+                minlength=self.owned.size,
+            )
+        else:
+            acc = np.zeros(self.owned.size, dtype=np.float64)
+        two_m = 2.0 * m
+        partial = float(
+            (acc / two_m).sum() - resolution * ((self.tot / two_m) ** 2).sum()
+        )
+        return partial, int(c_in.size + self.owned.size)
+
+
+class _RankState(_RankStateBase):
+    """One rank of the hash reference: EdgeHashTable In/Out tables.
+
+    Its kernels read and write the tables (Eq. 5 keys, Eq. 6 hash) and a
+    sorted Σ_tot replica.  They run inline on the driver thread: table
+    inserts call the sanitizer.
+    """
+
+    __slots__ = (
         "replica_comms",  # sorted community ids with cached sigma_tot
         "replica_tot",
         "replica_size",
     )
 
-    def __init__(self, rank: int, partition: ModuloPartition, tables: RankTables):
+    def __init__(
+        self,
+        partition: ModuloPartition,
+        rank: int,
+        v: np.ndarray,
+        u: np.ndarray,
+        w: np.ndarray,
+        config: ParallelLouvainConfig,
+        sanitizer: Sanitizer,
+    ):
+        tables = RankTables(
+            expected_in_edges=int(v.size) + 16,
+            hash_function=config.hash_function,
+            load_factor=config.load_factor,
+            key_shift=config.key_shift,
+            sanitizer=sanitizer,
+            rank=rank,
+        )
+        tables.add_in_edges(v, u, np.asarray(w, dtype=np.float64))
+        self.build_ops = tables.in_table.probe_count
         self.rank = rank
+        self.partition = partition
         self.owned = partition.owned(rank)
         self.tables = tables
         v, u, w = tables.in_edges()
@@ -238,124 +342,85 @@ class _RankState:
             return np.empty(0, dtype=np.int64)
         return self.replica_size[self._replica_index(comms)]
 
+    # -------------------------------------------------------------- #
+    # Kernels
+    # -------------------------------------------------------------- #
 
-# ===================================================================== #
-# Phases
-# ===================================================================== #
+    def propagation_outbox(self):
+        """STATE PROPAGATION send half: each In_Table edge ``(v -> u)`` as
+        ``((v, c_u), w)`` to the owner of ``v`` (Algorithm 3)."""
+        partition = self.partition
+        v, u, w = self.tables.in_edges()
+        c = self.community[partition.to_local(u)] if u.size else u
+        return group_by_destination(
+            (partition.owner(v), v, c, w), partition.num_ranks
+        )
 
-
-def _state_propagation(
-    sim: Simulation,
-    partition: ModuloPartition,
-    ranks: list[_RankState],
-) -> None:
-    """Algorithm 3: rebuild every Out_Table from In_Tables + communities."""
-    bus = sim.bus
-    prof = sim.profiler
-    outboxes = []
-    for st in ranks:
-        v, u, w = st.tables.in_edges()
-        c = st.community[partition.to_local(u)] if u.size else u
-        dest = partition.owner(v)
-        prof.add_ops(st.rank, v.size)  # In_Table scan
-        outboxes.append((dest, v, c, w))
-    result = bus.exchange(outboxes)
-    for st in ranks:
-        u_in, c_in, w_in = result.inbox(st.rank)
-        st.tables.reset_out_table()
-        before = st.tables.out_table.probe_count
-        st.tables.accumulate_out(
+    def rebuild_out_table(self, inbox, in_order: bool) -> int:
+        """STATE PROPAGATION receive half: hash the inbox into a fresh
+        Out_Table.  Returns the probes it took.  (``in_order`` switches
+        only the vector state's inbox cache.)"""
+        u_in, c_in, w_in = inbox
+        self.tables.reset_out_table()
+        before = self.tables.out_table.probe_count
+        self.tables.accumulate_out(
             u_in.astype(np.int64), c_in.astype(np.int64), w_in.astype(np.float64)
         )
-        prof.add_ops(st.rank, st.tables.out_table.probe_count - before)
+        return self.tables.out_table.probe_count - before
 
+    def sigma_request(self):
+        """Σ_tot fetch, first superstep: every community this rank reads
+        (its Out_Table's and its own vertices'), to the owners."""
+        _, c, _ = self.tables.out_entries()
+        want = np.unique(np.concatenate([c, self.community]))
+        requester = np.full(want.size, self.rank, dtype=np.int64)
+        return group_by_destination(
+            (self.partition.owner(want), want, requester),
+            self.partition.num_ranks,
+        )
 
-def _fetch_sigma_tot(
-    sim: Simulation,
-    partition: ModuloPartition,
-    ranks: list[_RankState],
-) -> None:
-    """Refresh each rank's Σ_tot replicas for all referenced communities.
-
-    Two supersteps: requests to community owners, replies with values.  The
-    paper folds this community-state traffic into STATE PROPAGATION; so does
-    the phase accounting here (callers wrap us in that phase).
-    """
-    bus = sim.bus
-    prof = sim.profiler
-    requests = []
-    wanted: list[np.ndarray] = []
-    for st in ranks:
-        _, c, _ = st.tables.out_entries()
-        want = np.unique(np.concatenate([c, st.community]))
-        wanted.append(want)
-        dest = partition.owner(want)
-        requester = np.full(want.size, st.rank, dtype=np.int64)
-        requests.append((dest, want, requester))
-    got = bus.exchange(requests)
-    replies = []
-    for st in ranks:
-        c_req, who = got.inbox(st.rank)
-        c_req = c_req.astype(np.int64)
-        local = partition.to_local(c_req)
-        vals = st.tot[local] if c_req.size else np.empty(0)
-        sizes = st.size[local] if c_req.size else np.empty(0, dtype=np.int64)
-        prof.add_ops(st.rank, c_req.size)
-        replies.append((who.astype(np.int64), c_req, vals, sizes))
-    back = bus.exchange(replies)
-    for st in ranks:
-        c_rep, t_rep, s_rep = back.inbox(st.rank)
+    def store_sigma(self, inbox) -> None:
+        """Σ_tot fetch, receive side: refresh the sorted replica."""
+        c_rep, t_rep, s_rep = inbox
         c_rep = c_rep.astype(np.int64)
         order = np.argsort(c_rep)
-        st.replica_comms = c_rep[order]
-        st.replica_tot = t_rep.astype(np.float64)[order]
-        st.replica_size = s_rep.astype(np.int64)[order]
+        self.replica_comms = c_rep[order]
+        self.replica_tot = t_rep.astype(np.float64)[order]
+        self.replica_size = s_rep.astype(np.int64)[order]
 
+    def find_best(
+        self, m: float, resolution: float, idx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """FIND_BEST for one rank: ``(m_u, c_hat)`` over its local vertices.
 
-def _find_best(
-    sim: Simulation,
-    partition: ModuloPartition,
-    ranks: list[_RankState],
-    m: float,
-    resolution: float = 1.0,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Algorithm 4 lines 6-9: per-vertex best move gain and target.
-
-    Returns per-rank ``(m_u, c_hat)`` arrays over local vertices.  ``m_u`` is
-    the *move improvement*: ΔQ of joining the best foreign community minus ΔQ
-    of staying home, both computed against the current (stale) Σ_tot
-    replicas.  ``m_u <= 0`` means staying is at least as good.
-    """
-    prof = sim.profiler
-    two_m2 = 2.0 * m * m
-    best_gain: list[np.ndarray] = []
-    best_comm: list[np.ndarray] = []
-    for st in ranks:
-        n_local = st.owned.size
-        u, c, w = st.tables.out_entries()
-        prof.add_ops(st.rank, u.size)
+        ``m_u`` is the *move improvement*: ΔQ of joining the best foreign
+        community minus ΔQ of staying home, both computed against the
+        current (stale) Σ_tot replica.  ``m_u <= 0`` means staying is at
+        least as good.  The lexsort below needs no ``idx``.
+        """
+        two_m2 = 2.0 * m * m
+        n_local = self.owned.size
+        u, c, w = self.tables.out_entries()
         mu = np.zeros(n_local, dtype=np.float64)
-        chat = st.community.copy()
+        chat = self.community.copy()
         if n_local == 0:
-            best_gain.append(mu)
-            best_comm.append(chat)
-            continue
-        local = partition.to_local(u)
-        cu = st.community[local]
-        ku = st.strength[local]
-        sigma = st.lookup_tot(c)
+            return mu, chat
+        local = self.partition.to_local(u)
+        cu = self.community[local]
+        ku = self.strength[local]
+        sigma = self.lookup_tot(c)
         is_home = c == cu
         # Removal semantics: evaluating any candidate pretends u left home,
         # so the home community's sigma_tot must exclude k_u.
         sigma_eff = np.where(is_home, sigma - ku, sigma)
-        w_eff = np.where(is_home, w - st.self_adj[local], w)
+        w_eff = np.where(is_home, w - self.self_adj[local], w)
         gain = w_eff / m - resolution * sigma_eff * ku / two_m2
 
         # Per-vertex stay gain: the home entry if present, else the gain of
         # an empty home community (no intra edges).
         stay = np.zeros(n_local, dtype=np.float64)
-        k_all = st.strength
-        sigma_home_all = st.lookup_tot(st.community) - k_all
+        k_all = self.strength
+        sigma_home_all = self.lookup_tot(self.community) - k_all
         stay[:] = -resolution * sigma_home_all * k_all / two_m2
         home_local = local[is_home]
         stay[home_local] = gain[is_home]
@@ -366,8 +431,8 @@ def _find_best(
         # updates.  A singleton vertex may enter another *singleton*
         # community only if the target label is smaller; the lower-label
         # vertex then stays put and absorbs the other.
-        cand_size = st.lookup_size(c)
-        home_size = st.lookup_size(cu)
+        cand_size = self.lookup_size(c)
+        home_size = self.lookup_size(cu)
         blocked = (cand_size == 1) & (home_size == 1) & (c > cu)
 
         # Best foreign candidate per vertex: sort entries by (local id, c)
@@ -386,9 +451,45 @@ def _find_best(
             improvement = fg[sel] - stay[fl[sel]]
             mu[fl[sel]] = improvement
             chat[fl[sel]] = fc[sel]
-        best_gain.append(mu)
-        best_comm.append(chat)
-    return best_gain, best_comm
+        return mu, chat
+
+    def modularity_outbox(self):
+        """MODULARITY send half: home-community Out_Table weight to its owner."""
+        partition = self.partition
+        u, c, w = self.tables.out_entries()
+        if u.size:
+            home = c == self.community[partition.to_local(u)]
+            c_h, w_h = c[home], w[home]
+        else:
+            c_h = np.empty(0, dtype=np.int64)
+            w_h = np.empty(0, dtype=np.float64)
+        return group_by_destination(
+            (partition.owner(c_h), c_h, w_h), partition.num_ranks
+        )
+
+    def contraction_outbox(
+        self, new_ids: np.ndarray, new_partition: ModuloPartition
+    ):
+        """RECONSTRUCTION: ``(label fragment, superedge outbox)``.
+
+        The fragment renames the owned vertices to next-level ids; the
+        outbox sends each Out_Table entry as a superedge to the owner of
+        its destination supervertex (Fig. 3's all-to-all).
+        """
+        frag = np.searchsorted(new_ids, self.community)
+        u, c, w = self.tables.out_entries()
+        if u.size:
+            src_comm = frag[self.partition.to_local(u)]
+            dst_comm = np.searchsorted(new_ids, c)
+        else:
+            src_comm = np.empty(0, dtype=np.int64)
+            dst_comm = np.empty(0, dtype=np.int64)
+        return frag, (new_partition.owner(dst_comm), src_comm, dst_comm, w)
+
+
+# ===================================================================== #
+# Phases shared by every backend
+# ===================================================================== #
 
 
 def _compute_threshold(
@@ -460,114 +561,6 @@ def _apply_moves(
     return int(bus.allreduce_sum(moved_counts))
 
 
-def _compute_modularity(
-    sim: Simulation,
-    partition: ModuloPartition,
-    ranks: list[_RankState],
-    m: float,
-    resolution: float = 1.0,
-) -> float:
-    """Algorithm 4 lines 17-25: Σ_in gather + global Q."""
-    bus = sim.bus
-    prof = sim.profiler
-    outboxes = []
-    for st in ranks:
-        u, c, w = st.tables.out_entries()
-        prof.add_ops(st.rank, u.size)
-        if u.size:
-            home = c == st.community[partition.to_local(u)]
-            c_h, w_h = c[home], w[home]
-        else:
-            c_h = np.empty(0, dtype=np.int64)
-            w_h = np.empty(0, dtype=np.float64)
-        outboxes.append((partition.owner(c_h), c_h, w_h))
-    result = bus.exchange(outboxes)
-    partials = []
-    two_m = 2.0 * m
-    for st in ranks:
-        c_in, w_in = result.inbox(st.rank)
-        acc = np.zeros(st.owned.size, dtype=np.float64)
-        c_in = c_in.astype(np.int64)
-        if c_in.size:
-            np.add.at(acc, partition.to_local(c_in), w_in.astype(np.float64))
-        prof.add_ops(st.rank, c_in.size + st.owned.size)
-        partials.append(
-            float(
-                (acc / two_m).sum()
-                - resolution * ((st.tot / two_m) ** 2).sum()
-            )
-        )
-    return float(bus.allreduce_sum(partials))
-
-
-def _reconstruct(
-    sim: Simulation,
-    partition: ModuloPartition,
-    ranks: list[_RankState],
-    config: ParallelLouvainConfig,
-) -> tuple[list[_RankState], ModuloPartition, np.ndarray]:
-    """Algorithm 5: contract communities into the next level's In_Tables.
-
-    Returns ``(new_rank_states, new_partition, labels)`` where ``labels``
-    maps this level's vertex ids to compact next-level ids (driver-side
-    bookkeeping for the dendrogram).
-    """
-    bus = sim.bus
-    prof = sim.profiler
-
-    # Compact relabeling: every rank contributes the labels it references;
-    # the sorted union is the new vertex space (a small allgather in the
-    # real implementation).
-    used = bus.allgather([np.unique(st.community) for st in ranks])
-    new_ids = np.unique(np.concatenate(used)) if used else np.empty(0, np.int64)
-    n_new = int(new_ids.size)
-    new_partition = ModuloPartition(n_new, partition.num_ranks)
-
-    # Per-level label array over *this* level's vertices.  Each rank renames
-    # its owned shard; the fragments are gathered so every rank (and the
-    # driver) holds the full dendrogram row.
-    frags = bus.side_gather(
-        [np.searchsorted(new_ids, st.community) for st in ranks]
-    )
-    labels = np.empty(partition.num_vertices, dtype=np.int64)
-    for rank in range(partition.num_ranks):
-        labels[partition.owned(rank)] = frags[rank]
-
-    # Ship Out_Table entries as superedges to the owner of the destination
-    # supervertex (Fig. 3's all-to-all).
-    outboxes = []
-    for st in ranks:
-        u, c, w = st.tables.out_entries()
-        prof.add_ops(st.rank, u.size)
-        if u.size:
-            src_comm = np.searchsorted(new_ids, st.community[partition.to_local(u)])
-            dst_comm = np.searchsorted(new_ids, c)
-        else:
-            src_comm = np.empty(0, dtype=np.int64)
-            dst_comm = np.empty(0, dtype=np.int64)
-        outboxes.append((new_partition.owner(dst_comm), src_comm, dst_comm, w))
-    result = bus.exchange(outboxes)
-
-    new_states: list[_RankState] = []
-    for st in ranks:
-        v_in, u_in, w_in = result.inbox(st.rank)
-        tables = RankTables(
-            expected_in_edges=int(np.asarray(v_in).size) + 16,
-            hash_function=config.hash_function,
-            load_factor=config.load_factor,
-            key_shift=config.key_shift,
-            sanitizer=sim.sanitizer,
-            rank=st.rank,
-        )
-        before = tables.in_table.probe_count
-        tables.add_in_edges(
-            v_in.astype(np.int64), u_in.astype(np.int64), w_in.astype(np.float64)
-        )
-        prof.add_ops(st.rank, tables.in_table.probe_count - before)
-        new_states.append(_RankState(st.rank, new_partition, tables))
-    return new_states, new_partition, labels
-
-
 def _apply_initial_membership(
     sim: Simulation,
     partition: ModuloPartition,
@@ -620,54 +613,182 @@ def _apply_initial_membership(
 
 
 # ===================================================================== #
-# Backends
+# The superstep schedule
 # ===================================================================== #
 
 
-class _HashBackend:
-    """The paper-faithful execution layer: EdgeHashTable In/Out tables.
+class _Schedule:
+    """Each phase's superstep schedule, written once for both backends.
 
-    A backend owns the *data-plane* of the algorithm -- how per-rank state
-    is stored and how each phase computes -- while :func:`parallel_louvain`
-    keeps the control-plane (level/iteration loops, threshold schedule,
-    tracing, sanitizing) shared across backends.  Every backend must drive
-    the exact same superstep sequence with the same logical records, so a
-    golden trace recorded under one backend gates the other.
+    For each phase the control plane (:func:`_louvain_core`) runs, this
+    says which per-rank kernel runs, which exchange or collective follows,
+    and what each rank is charged.  A backend subclasses it with a
+    rank-state class (a :class:`_RankStateBase`) whose methods are the
+    kernels, and :meth:`local_states`, which builds those states from
+    in-edge shards.  Kernels run through :meth:`_map`; bus ops and profiler
+    charges stay here, on the driver thread, in ascending rank order.  So
+    the bitwise contract between the backends rests on this one code path,
+    and a golden trace recorded under one backend gates the other.
+    """
 
-    Rank states must expose ``owned`` / ``strength`` / ``community`` /
-    ``tot`` / ``size`` arrays (consumed by the shared UPDATE and warm-start
-    code) and a ``tables`` object whose ``in_table`` / ``out_table`` support
-    ``items()`` / ``len()`` / ``stats()`` (consumed by the tracer and
-    sanitizer hooks in the main loop).
+    name: str
+
+    def __init__(self) -> None:
+        self._idx = np.empty(0, dtype=np.int32)
+
+    def local_states(self, sim, partition, shards, config) -> list:
+        """Rank states from in-edge shards ``(rank, v, u, w)``."""
+        raise NotImplementedError
+
+    def _map(self, sim: Simulation, kernel, ranks: list) -> list:
+        """Run one per-rank kernel for every local rank; results in rank order.
+
+        The executor's size for a superstep is the level's adjacency
+        entries: every kernel's arrays scale with the rank's in-edges.
+        """
+        return sim.map_ranks(
+            kernel, ranks, work=sum(len(st.tables.in_table) for st in ranks)
+        )
+
+    def _indices(self, size: int) -> np.ndarray:
+        """Cached ``arange(size)`` (int32) for the per-iteration gain scan.
+
+        Driver thread only: size it for the largest rank before the map.
+        """
+        if self._idx.size < size:
+            self._idx = np.arange(
+                max(size, 2 * self._idx.size), dtype=np.int32
+            )
+        return self._idx[:size]
+
+    def build_states(self, sim, partition, graph, config):
+        return self.local_states(
+            sim, partition, list(partition.in_edge_shards(graph)), config
+        )
+
+    def state_propagation(self, sim, partition, ranks):
+        """Algorithm 3 plus the Σ_tot replica refresh.
+
+        Three supersteps: every In_Table edge, tagged with its owned
+        endpoint's community, to the owner of the other endpoint, who
+        rebuilds its Out_Table from them; then Σ_tot requests for every
+        community a rank reads to the community owners; then their replies.
+        The paper folds the community-state traffic into STATE PROPAGATION;
+        so does the phase accounting here.
+        """
+        bus = sim.bus
+        prof = sim.profiler
+        in_order = bus.reorder_rng is None
+        outboxes = self._map(sim, lambda st: st.propagation_outbox(), ranks)
+        for st in ranks:
+            prof.add_ops(st.rank, len(st.tables.in_table))  # In_Table scan
+        result = bus.exchange_grouped(outboxes)
+        scanned = self._map(
+            sim,
+            lambda st: st.rebuild_out_table(result.inbox(st.rank), in_order),
+            ranks,
+        )
+        for st, ops in zip(ranks, scanned):
+            prof.add_ops(st.rank, ops)
+        got = bus.exchange_grouped(
+            self._map(sim, lambda st: st.sigma_request(), ranks)
+        )
+        replies = self._map(
+            sim, lambda st: st.sigma_reply(got.inbox(st.rank), in_order), ranks
+        )
+        for st, (_, ops) in zip(ranks, replies):
+            prof.add_ops(st.rank, ops)
+        back = bus.exchange_grouped([reply for reply, _ in replies])
+        self._map(sim, lambda st: st.store_sigma(back.inbox(st.rank)), ranks)
+
+    def find_best(self, sim, partition, ranks, m, resolution):
+        """Algorithm 4 lines 6-9: per-rank ``(m_u, c_hat)`` arrays."""
+        prof = sim.profiler
+        for st in ranks:
+            prof.add_ops(st.rank, len(st.tables.out_table))  # Out_Table scan
+        idx = self._indices(
+            max((len(st.tables.out_table) for st in ranks), default=0)
+        )
+        best = self._map(sim, lambda st: st.find_best(m, resolution, idx), ranks)
+        return [mu for mu, _ in best], [chat for _, chat in best]
+
+    def compute_modularity(self, sim, partition, ranks, m, resolution):
+        """Algorithm 4 lines 17-25: Σ_in gather + global Q."""
+        bus = sim.bus
+        prof = sim.profiler
+        outboxes = self._map(sim, lambda st: st.modularity_outbox(), ranks)
+        for st in ranks:
+            prof.add_ops(st.rank, len(st.tables.out_table))
+        result = bus.exchange_grouped(outboxes)
+        terms = self._map(
+            sim,
+            lambda st: st.modularity_partial(
+                result.inbox(st.rank), m, resolution
+            ),
+            ranks,
+        )
+        for st, (_, ops) in zip(ranks, terms):
+            prof.add_ops(st.rank, ops)
+        return float(bus.allreduce_sum([partial for partial, _ in terms]))
+
+    def reconstruct(self, sim, partition, ranks, config):
+        """Algorithm 5: contract communities into the next level's In_Tables.
+
+        Returns ``(new_rank_states, new_partition, labels)`` where ``labels``
+        maps this level's vertex ids to compact next-level ids (driver-side
+        bookkeeping for the dendrogram).
+        """
+        bus = sim.bus
+        prof = sim.profiler
+        # Compact relabeling: every rank contributes the labels it
+        # references; the sorted union is the new vertex space.
+        used = bus.allgather(
+            self._map(sim, lambda st: np.unique(st.community), ranks)
+        )
+        new_ids = (
+            np.unique(np.concatenate(used)) if used else np.empty(0, np.int64)
+        )
+        new_partition = ModuloPartition(int(new_ids.size), partition.num_ranks)
+
+        contracted = self._map(
+            sim, lambda st: st.contraction_outbox(new_ids, new_partition), ranks
+        )
+        # Gather the per-rank renamed shards so every rank (and the driver)
+        # holds the full dendrogram row -- in process mode each worker only
+        # computes its own fragment locally.
+        frags = bus.side_gather([frag for frag, _ in contracted])
+        labels = np.empty(partition.num_vertices, dtype=np.int64)
+        for rank in range(partition.num_ranks):
+            labels[partition.owned(rank)] = frags[rank]
+
+        for st in ranks:
+            prof.add_ops(st.rank, len(st.tables.out_table))
+        result = bus.exchange([outbox for _, outbox in contracted])
+        shards = [(st.rank, *result.inbox(st.rank)) for st in ranks]
+        new_states = self.local_states(sim, new_partition, shards, config)
+        for st in new_states:
+            prof.add_ops(st.rank, st.build_ops)
+        return new_states, new_partition, labels
+
+
+class _HashBackend(_Schedule):
+    """The paper-faithful data-plane: :class:`_RankState` over EdgeHashTables.
+
+    Its kernels run inline on the driver thread, never on the rank
+    executor: EdgeHashTable inserts call the sanitizer, which only the
+    driver thread may touch.
     """
 
     name = "hash"
 
-    def build_states(self, sim, partition, graph, config):
-        tables = build_in_tables(
-            graph,
-            partition,
-            hash_function=config.hash_function,
-            load_factor=config.load_factor,
-            key_shift=config.key_shift,
-            sanitizer=sim.sanitizer,
-        )
+    def local_states(self, sim, partition, shards, config):
         return [
-            _RankState(r, partition, tables[r]) for r in range(config.num_ranks)
+            _RankState(partition, *shard, config, sim.sanitizer)
+            for shard in shards
         ]
 
-    def state_propagation(self, sim, partition, ranks):
-        _state_propagation(sim, partition, ranks)
-        _fetch_sigma_tot(sim, partition, ranks)
-
-    def find_best(self, sim, partition, ranks, m, resolution):
-        return _find_best(sim, partition, ranks, m, resolution)
-
-    def compute_modularity(self, sim, partition, ranks, m, resolution):
-        return _compute_modularity(sim, partition, ranks, m, resolution)
-
-    def reconstruct(self, sim, partition, ranks, config):
-        return _reconstruct(sim, partition, ranks, config)
+    def _map(self, sim, kernel, ranks):
+        return [kernel(st) for st in ranks]
 
 
 def _make_backend(config: ParallelLouvainConfig):

@@ -1,9 +1,12 @@
 """Vectorized CSR execution backend (``backend="vector"``).
 
-A second, independent implementation of the per-rank data-plane of the
-parallel Louvain algorithm.  Where the paper-faithful hash backend stores
-each rank's adjacency and Out_Table in :class:`~repro.hashing.EdgeHashTable`
-instances and pays per-record probe chains, this backend keeps
+A second, independent implementation of the per-rank kernels of the
+parallel Louvain algorithm, run by the superstep schedule both backends
+share (:class:`repro.parallel.louvain._Schedule`); this module makes no
+bus call and charges no profiler counter.  Where the paper-faithful hash
+backend stores each rank's adjacency and Out_Table in
+:class:`~repro.hashing.EdgeHashTable` instances and pays per-record probe
+chains, this backend keeps
 
 * the local adjacency as flat **CSR-style arrays** ``(in_v, in_ul, in_w)``
   -- one coalesced in-edge ``(v -> u)`` per row, with ``u`` owned locally --
@@ -20,11 +23,10 @@ instances and pays per-record probe chains, this backend keeps
   (``np.maximum.reduceat`` with a first-hit tie-break that reproduces the
   hash path's "max gain, then smallest community id" ordering exactly).
 
-The backend drives the *identical* superstep sequence with the identical
-logical records -- same exchanges, same request sets, same record counts --
-so a golden trace recorded under ``backend="hash"`` gates this backend
-within the standard tolerances (exact on unweighted graphs, where every
-floating-point reduction here is order-insensitive).
+The kernels emit the hash reference's logical records -- same request
+sets, same record counts -- and fold every weight sum in the same order,
+so a golden trace recorded under ``backend="hash"`` gates this backend at
+zero tolerance.
 
 Community/vertex ids are combined into ``int64`` keys via ``v * n + u``
 instead of the hash path's Eq.-5 bit packing; the width precondition
@@ -45,6 +47,7 @@ from ..kernels import (
     segment_coalesce,
     segment_starts,
 )
+from .louvain import _RankStateBase, _Schedule
 from .partition import ModuloPartition
 
 __all__ = ["VectorBackend"]
@@ -104,19 +107,19 @@ class _ArrayTables:
         self.out_table = _ArrayTableView(state, "out")
 
 
-class _VectorRankState:
-    """Everything one rank owns at one level, as flat arrays."""
+class _VectorRankState(_RankStateBase):
+    """One rank of the vector backend: everything it owns, as flat arrays.
+
+    Its methods are the rank's kernels.  The backend runs them through
+    ``Simulation.map_ranks``, so they may execute concurrently on executor
+    threads: each touches only its own state and the read-only inbox of the
+    last exchange, never the profiler, tracer, sanitizer or bus.  Work
+    counts that depend on the inbox are returned for the schedule to charge.
+    """
 
     __slots__ = (
-        "rank",
         "num_ranks",
         "n_level",
-        "owned",  # global ids of owned vertices, ascending
-        "strength",  # k_u per owned vertex (local index order)
-        "self_adj",  # A_uu per owned vertex
-        "community",  # global community label per owned vertex
-        "tot",  # authoritative sigma_tot per owned *community* (local idx)
-        "size",  # authoritative member count per owned community
         "in_v",  # coalesced in-edges: neighbor (source) global id
         "in_ul",  # ... owned endpoint, local index
         "in_w",  # ... weight
@@ -134,18 +137,18 @@ class _VectorRankState:
         "prop_key_base",  # ... u_local * n_level, the static key half
         "prev_key",  # previous iteration's (u_local, c) keys ...
         "prev_order",  # ... and their sorting permutation (warm start)
-        "tables",
     )
 
     def __init__(
         self,
-        rank: int,
         partition: ModuloPartition,
+        rank: int,
         v: np.ndarray,
         u: np.ndarray,
         w: np.ndarray,
     ) -> None:
         self.rank = rank
+        self.partition = partition
         self.num_ranks = partition.num_ranks
         self.n_level = int(partition.num_vertices)
         self.owned = partition.owned(rank)
@@ -157,7 +160,10 @@ class _VectorRankState:
         )
         v = np.asarray(v, dtype=np.int64)
         u = np.asarray(u, dtype=np.int64)
-        keys, weights = segment_coalesce(v * n + u, w)
+        self.build_ops = int(v.size)  # records received
+        keys, weights = segment_coalesce(
+            v * n + u, np.asarray(w, dtype=np.float64)
+        )
         self.in_v = keys // n
         u_glob = keys - self.in_v * n
         self.in_ul = partition.to_local(u_glob)
@@ -200,327 +206,229 @@ class _VectorRankState:
         self.prev_order = None
         self.tables = _ArrayTables(self)
 
+    def propagation_outbox(self) -> list[tuple[np.ndarray, ...]]:
+        """STATE PROPAGATION send half: each in-edge tagged with u's community."""
+        comm = self.community
+        return [(v, comm[ul], w) for (v, ul, w) in self.send_parts]
 
-# ===================================================================== #
-# Per-rank kernels
-#
-# Each function below is one rank's share of a superstep.  The backend runs
-# them through ``Simulation.map_ranks``, so they may execute concurrently
-# on executor threads: each touches only its own rank state and the
-# read-only inbox of the last exchange, never the profiler, tracer,
-# sanitizer or bus.  Work counts that depend on the inbox are returned for
-# the driver to charge.
-# ===================================================================== #
+    def rebuild_out_table(self, inbox, in_order: bool) -> int:
+        """STATE PROPAGATION receive half: coalesce the inbox into Out_Table.
 
-
-def _propagation_outbox(st: _VectorRankState) -> list[tuple[np.ndarray, ...]]:
-    """STATE PROPAGATION send half: each in-edge tagged with u's community."""
-    comm = st.community
-    return [(v, comm[ul], w) for (v, ul, w) in st.send_parts]
-
-
-def _rebuild_out_table(st: _VectorRankState, inbox, static_inbox: bool) -> int:
-    """STATE PROPAGATION receive half: coalesce the inbox into Out_Table.
-
-    Returns the number of records scanned.
-    """
-    vl_in, c_in, w_in = inbox
-    c_in = np.asarray(c_in, dtype=np.int64)
-    n_level = st.n_level
-    n = np.int64(n_level)
-    n_local = int(st.owned.size)
-    # The pregrouped exchange delivers a *static* u_local column every
-    # iteration of a level (the send parts never change), so the column and
-    # its radix cast are cached after the first propagation.  Failure
-    # injection permutes inboxes and disables the cache.
-    if static_inbox:
-        if st.prop_ul is None:
-            st.prop_ul = np.asarray(vl_in, dtype=np.int64)
-            st.prop_key_base = st.prop_ul * n
-            if n_local <= 1 << 16:
-                st.prop_ul16 = st.prop_ul.astype(np.uint16)
-        ul = st.prop_ul
-        ul16 = st.prop_ul16
-        key = st.prop_key_base + c_in
-    else:
-        ul = np.asarray(vl_in, dtype=np.int64)
-        ul16 = None
-        key = ul * n + c_in
-    # The distinct community labels seen on in-edges double as the
-    # sigma-fetch want set (distinct out_c == distinct c_in), so the flag
-    # scan here is not wasted work even on the sort paths.
-    flags = np.zeros(n_level, dtype=bool)
-    flags[c_in] = True
-    st.sigma_flags = flags
-    order = None
-    # Warm start: the Eq.-7 throttle means most sources keep their community
-    # between iterations, so most (u_local, c) keys are unchanged.
-    # Re-sorting through the previous permutation is then nearly sorted --
-    # the stable sort degenerates to a linear merge -- and any valid ordering
-    # gives bit-identical groups (sums fold in arrival order regardless).
-    if static_inbox and st.prev_order is not None:
-        churn = int(np.count_nonzero(key != st.prev_key))
-        if churn * 8 <= key.size:
-            order = st.prev_order[np.argsort(key[st.prev_order], kind="stable")]
-    if order is None:
-        # Remap the k live community labels to compact ids so the pair
-        # order can grade its strategy (dense grid / 16-bit radix /
-        # combined-key sort) by the live id range; ``cids`` is ascending,
-        # so compact order is label order and ``cids[...]`` restores labels.
-        cids = np.flatnonzero(flags)
-        k = int(cids.size)
-        dtype = np.uint16 if k <= 1 << 16 else np.int64
-        lut = np.empty(n_level, dtype=dtype)
-        lut[cids] = np.arange(k, dtype=dtype)
-        cc = lut[c_in]
-        order = pair_order(ul, cc, n_local, k, first_u16=ul16)
+        Returns the number of records scanned.
+        """
+        vl_in, c_in, w_in = inbox
+        c_in = np.asarray(c_in, dtype=np.int64)
+        n_level = self.n_level
+        n = np.int64(n_level)
+        n_local = int(self.owned.size)
+        # The pregrouped exchange delivers a *static* u_local column every
+        # iteration of a level (the send parts never change), so the column and
+        # its radix cast are cached after the first propagation.  Failure
+        # injection permutes inboxes and disables the cache.
+        if in_order:
+            if self.prop_ul is None:
+                self.prop_ul = np.asarray(vl_in, dtype=np.int64)
+                self.prop_key_base = self.prop_ul * n
+                if n_local <= 1 << 16:
+                    self.prop_ul16 = self.prop_ul.astype(np.uint16)
+            ul = self.prop_ul
+            ul16 = self.prop_ul16
+            key = self.prop_key_base + c_in
+        else:
+            ul = np.asarray(vl_in, dtype=np.int64)
+            ul16 = None
+            key = ul * n + c_in
+        # The distinct community labels seen on in-edges double as the
+        # sigma-fetch want set (distinct out_c == distinct c_in), so the flag
+        # scan here is not wasted work even on the sort paths.
+        flags = np.zeros(n_level, dtype=bool)
+        flags[c_in] = True
+        self.sigma_flags = flags
+        order = None
+        # Warm start: the Eq.-7 throttle means most sources keep their community
+        # between iterations, so most (u_local, c) keys are unchanged.
+        # Re-sorting through the previous permutation is then nearly sorted --
+        # the stable sort degenerates to a linear merge -- and any valid ordering
+        # gives bit-identical groups (sums fold in arrival order regardless).
+        if in_order and self.prev_order is not None:
+            churn = int(np.count_nonzero(key != self.prev_key))
+            if churn * 8 <= key.size:
+                order = self.prev_order[
+                    np.argsort(key[self.prev_order], kind="stable")
+                ]
         if order is None:
-            # Dense grid: no sort, so nothing to warm-start from.
-            st.out_ul, ccu, st.out_w = coalesce_pairs(ul, cc, n_local, k, w_in)
-            st.out_c = cids[ccu]
-            st.prev_key = None
-            st.prev_order = None
-    if order is not None:
-        ukeys, st.out_w = coalesce_with_order(key, order, w_in)
-        st.out_ul = ukeys // n
-        st.out_c = ukeys - st.out_ul * n
-        st.prev_key = key
-        st.prev_order = order
-    starts = segment_starts(st.out_ul)
-    st.out_starts = starts
-    seg = np.zeros(st.out_ul.size, dtype=np.int32)
-    if starts.size:
-        seg[starts] = 1
-        np.cumsum(seg, out=seg)
-        seg -= 1
-    st.out_seg = seg
-    return int(ul.size)
+            # Remap the k live community labels to compact ids so the pair
+            # order can grade its strategy (dense grid / 16-bit radix /
+            # combined-key sort) by the live id range; ``cids`` is ascending,
+            # so compact order is label order and ``cids[...]`` restores labels.
+            cids = np.flatnonzero(flags)
+            k = int(cids.size)
+            dtype = np.uint16 if k <= 1 << 16 else np.int64
+            lut = np.empty(n_level, dtype=dtype)
+            lut[cids] = np.arange(k, dtype=dtype)
+            cc = lut[c_in]
+            order = pair_order(ul, cc, n_local, k, first_u16=ul16)
+            if order is None:
+                # Dense grid: no sort, so nothing to warm-start from.
+                self.out_ul, ccu, self.out_w = coalesce_pairs(
+                    ul, cc, n_local, k, w_in
+                )
+                self.out_c = cids[ccu]
+                self.prev_key = None
+                self.prev_order = None
+        if order is not None:
+            ukeys, self.out_w = coalesce_with_order(key, order, w_in)
+            self.out_ul = ukeys // n
+            self.out_c = ukeys - self.out_ul * n
+            self.prev_key = key
+            self.prev_order = order
+        starts = segment_starts(self.out_ul)
+        self.out_starts = starts
+        seg = np.zeros(self.out_ul.size, dtype=np.int32)
+        if starts.size:
+            seg[starts] = 1
+            np.cumsum(seg, out=seg)
+            seg -= 1
+        self.out_seg = seg
+        return int(ul.size)
 
+    def sigma_request(self):
+        """Sigma fetch, first superstep: the communities this rank must read.
 
-def _sigma_request(st: _VectorRankState, partition: ModuloPartition):
-    """Sigma fetch, first superstep: the communities this rank must read.
+        Split per owner straight off the flag array: owner(c) = c mod P, so the
+        wanted ids for destination ``d`` are the set flags at positions
+        ``d::P`` -- the same ascending distinct-community set ``np.unique``
+        would give.
+        """
+        num_ranks = self.num_ranks
+        # sigma_flags already marks distinct(out_c); add home labels.
+        flags = self.sigma_flags
+        flags[self.community] = True
+        parts = []
+        for d in range(num_ranks):
+            wd = np.flatnonzero(flags[d::num_ranks])
+            wd *= num_ranks
+            wd += d
+            parts.append((wd, np.full(wd.size, self.rank, dtype=np.int64)))
+        return parts
 
-    Split per owner straight off the flag array: owner(c) = c mod P, so the
-    wanted ids for destination ``d`` are the set flags at positions ``d::P``.
-    """
-    num_ranks = partition.num_ranks
-    # sigma_flags already marks distinct(out_c); add home labels.
-    flags = st.sigma_flags
-    flags[st.community] = True
-    parts = []
-    for d in range(num_ranks):
-        wd = np.flatnonzero(flags[d::num_ranks])
-        wd *= num_ranks
-        wd += d
-        parts.append((wd, np.full(wd.size, st.rank, dtype=np.int64)))
-    return parts
+    def store_sigma(self, inbox) -> None:
+        """Sigma fetch, receive side: refresh the dense replicas."""
+        c_rep, t_rep, s_rep = inbox
+        c_rep = np.asarray(c_rep, dtype=np.int64)
+        self.rep_tot[c_rep] = np.asarray(t_rep, dtype=np.float64)
+        self.rep_size[c_rep] = np.asarray(s_rep, dtype=np.int64)
 
+    def find_best(
+        self, m: float, resolution: float, idx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """FIND_BEST for one rank: ``(m_u, c_hat)`` over its local vertices.
 
-def _sigma_reply(
-    st: _VectorRankState, inbox, partition: ModuloPartition, in_order: bool
-):
-    """Sigma fetch, second superstep: answer requests for owned communities.
+        ``idx`` is an ``arange`` at least as long as the Out_Table.
+        """
+        two_m2 = 2.0 * m * m
+        n_local = self.owned.size
+        mu = np.zeros(n_local, dtype=np.float64)
+        chat = self.community.copy()
+        ul, c, w = self.out_ul, self.out_c, self.out_w
+        if n_local == 0 or ul.size == 0:
+            return mu, chat
+        cu = self.community[ul]
+        ku = self.strength[ul]
+        sigma = self.rep_tot[c]
+        is_home = c == cu
+        # Same expressions and evaluation order as the hash reference's
+        # find_best -- spelled with in-place/masked ufuncs (each step still
+        # rounds identically), which halves the temporaries on the hot path.
+        np.subtract(sigma, ku, out=sigma, where=is_home)  # sigma_eff
+        w_eff = w.copy()
+        np.subtract(w_eff, self.self_adj[ul], out=w_eff, where=is_home)
+        np.multiply(sigma, resolution, out=sigma)
+        np.multiply(sigma, ku, out=sigma)
+        np.divide(sigma, two_m2, out=sigma)
+        np.divide(w_eff, m, out=w_eff)
+        np.subtract(w_eff, sigma, out=w_eff)
+        gain = w_eff
 
-    An in-order inbox concatenates per-source parts in rank order, so its
-    requester column is sorted and splits by ``searchsorted``; failure
-    injection permutes inboxes, and then the reply is regrouped.
+        sigma_home_all = self.rep_tot[self.community] - self.strength
+        stay = -resolution * sigma_home_all * self.strength / two_m2
+        stay[ul[is_home]] = gain[is_home]
 
-    Returns ``(reply, records_answered)``.
-    """
-    num_ranks = partition.num_ranks
-    c_req, who = inbox
-    c_req = np.asarray(c_req, dtype=np.int64)
-    who = np.asarray(who, dtype=np.int64)
-    local = partition.to_local(c_req)
-    vals = st.tot[local] if c_req.size else np.empty(0)
-    sizes = st.size[local] if c_req.size else np.empty(0, dtype=np.int64)
-    if not in_order:
-        reply = group_by_destination((who, c_req, vals, sizes), num_ranks)
-        return reply, int(c_req.size)
-    bounds = np.searchsorted(
-        who, np.arange(num_ranks + 1, dtype=np.int64)
-    ).tolist()
-    reply = [
-        (c_req[a:b], vals[a:b], sizes[a:b])
-        for a, b in zip(bounds, bounds[1:])
-    ]
-    return reply, int(c_req.size)
+        cand_size = self.rep_size[c]
+        home_size = self.rep_size[cu]
+        blocked = (cand_size == 1) & (home_size == 1) & (c > cu)
 
-
-def _store_sigma(st: _VectorRankState, inbox) -> None:
-    """Sigma fetch, receive side: refresh the dense replicas."""
-    c_rep, t_rep, s_rep = inbox
-    c_rep = np.asarray(c_rep, dtype=np.int64)
-    st.rep_tot[c_rep] = np.asarray(t_rep, dtype=np.float64)
-    st.rep_size[c_rep] = np.asarray(s_rep, dtype=np.int64)
-
-
-def _find_best_rank(
-    st: _VectorRankState, m: float, resolution: float, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """FIND_BEST for one rank: ``(m_u, c_hat)`` over its local vertices.
-
-    ``idx`` is an ``arange`` at least as long as the Out_Table.
-    """
-    two_m2 = 2.0 * m * m
-    n_local = st.owned.size
-    mu = np.zeros(n_local, dtype=np.float64)
-    chat = st.community.copy()
-    ul, c, w = st.out_ul, st.out_c, st.out_w
-    if n_local == 0 or ul.size == 0:
+        # Entries are sorted by (u_local, c); the first entry of a segment that
+        # attains the segment maximum is therefore the smallest community id
+        # among the maxima -- the hash path's lexsort tie-break, without the
+        # lexsort.  Masked entries are -inf, which finite gains never are, so
+        # the -inf test replaces a separately materialized feasibility mask.
+        masked = np.where(is_home, -np.inf, gain)
+        np.copyto(masked, -np.inf, where=blocked)
+        starts = self.out_starts
+        seg_max = np.maximum.reduceat(masked, starts)
+        cond = masked == seg_max[self.out_seg]
+        cond &= masked != -np.inf
+        hit = np.where(cond, idx[:ul.size], np.int32(ul.size))
+        first = np.minimum.reduceat(hit, starts)
+        valid = first < ul.size
+        sel = first[valid]
+        usel = ul[sel]
+        mu[usel] = gain[sel] - stay[usel]
+        chat[usel] = c[sel]
         return mu, chat
-    cu = st.community[ul]
-    ku = st.strength[ul]
-    sigma = st.rep_tot[c]
-    is_home = c == cu
-    # Same expressions and evaluation order as the hash backend's _find_best
-    # -- spelled with in-place/masked ufuncs (each step still rounds
-    # identically), which halves the temporaries on the hot path.
-    np.subtract(sigma, ku, out=sigma, where=is_home)  # sigma_eff
-    w_eff = w.copy()
-    np.subtract(w_eff, st.self_adj[ul], out=w_eff, where=is_home)
-    np.multiply(sigma, resolution, out=sigma)
-    np.multiply(sigma, ku, out=sigma)
-    np.divide(sigma, two_m2, out=sigma)
-    np.divide(w_eff, m, out=w_eff)
-    np.subtract(w_eff, sigma, out=w_eff)
-    gain = w_eff
 
-    sigma_home_all = st.rep_tot[st.community] - st.strength
-    stay = -resolution * sigma_home_all * st.strength / two_m2
-    stay[ul[is_home]] = gain[is_home]
+    def modularity_outbox(self):
+        """MODULARITY send half: home-community Out_Table weight to its owner."""
+        if self.out_ul.size:
+            home = self.out_c == self.community[self.out_ul]
+            c_h, w_h = self.out_c[home], self.out_w[home]
+        else:
+            c_h = np.empty(0, dtype=np.int64)
+            w_h = np.empty(0, dtype=np.float64)
+        # Pregroup per destination: a handful of boolean scans beats the bus's
+        # per-record argsort, and within-destination arrival order (hence every
+        # downstream fold) is unchanged.
+        dest = self.partition.owner(c_h)
+        parts = []
+        for d in range(self.num_ranks):
+            idx = np.flatnonzero(dest == d)
+            parts.append((c_h[idx], w_h[idx]))
+        return parts
 
-    cand_size = st.rep_size[c]
-    home_size = st.rep_size[cu]
-    blocked = (cand_size == 1) & (home_size == 1) & (c > cu)
+    def contraction_outbox(
+        self, new_ids: np.ndarray, new_partition: ModuloPartition
+    ):
+        """RECONSTRUCTION: ``(label fragment, superedge outbox)`` for one rank.
 
-    # Entries are sorted by (u_local, c); the first entry of a segment that
-    # attains the segment maximum is therefore the smallest community id
-    # among the maxima -- the hash path's lexsort tie-break, without the
-    # lexsort.  Masked entries are -inf, which finite gains never are, so
-    # the -inf test replaces a separately materialized feasibility mask.
-    masked = np.where(is_home, -np.inf, gain)
-    np.copyto(masked, -np.inf, where=blocked)
-    starts = st.out_starts
-    seg_max = np.maximum.reduceat(masked, starts)
-    cond = masked == seg_max[st.out_seg]
-    cond &= masked != -np.inf
-    hit = np.where(cond, idx[:ul.size], np.int32(ul.size))
-    first = np.minimum.reduceat(hit, starts)
-    valid = first < ul.size
-    sel = first[valid]
-    usel = ul[sel]
-    mu[usel] = gain[sel] - stay[usel]
-    chat[usel] = c[sel]
-    return mu, chat
-
-
-def _modularity_outbox(st: _VectorRankState, partition: ModuloPartition):
-    """MODULARITY send half: home-community Out_Table weight to its owner."""
-    if st.out_ul.size:
-        home = st.out_c == st.community[st.out_ul]
-        c_h, w_h = st.out_c[home], st.out_w[home]
-    else:
-        c_h = np.empty(0, dtype=np.int64)
-        w_h = np.empty(0, dtype=np.float64)
-    # Pregroup per destination: a handful of boolean scans beats the bus's
-    # per-record argsort, and within-destination arrival order (hence every
-    # downstream fold) is unchanged.
-    dest = partition.owner(c_h)
-    parts = []
-    for d in range(partition.num_ranks):
-        idx = np.flatnonzero(dest == d)
-        parts.append((c_h[idx], w_h[idx]))
-    return parts
-
-
-def _modularity_partial(
-    st: _VectorRankState,
-    inbox,
-    partition: ModuloPartition,
-    m: float,
-    resolution: float,
-) -> tuple[float, int]:
-    """MODULARITY receive half: this rank's Q term and records scanned."""
-    c_in, w_in = inbox
-    c_in = np.asarray(c_in, dtype=np.int64)
-    if c_in.size:
-        acc = np.bincount(
-            partition.to_local(c_in),
-            weights=np.asarray(w_in, dtype=np.float64),
-            minlength=st.owned.size,
+        The fragment renames the rank's owned vertices to next-level ids; the
+        outbox turns each Out_Table entry into a superedge addressed to the
+        owner of its destination supervertex (Fig. 3's all-to-all).
+        """
+        frag = np.searchsorted(new_ids, self.community)
+        if self.out_ul.size:
+            src_comm = frag[self.out_ul]
+            dst_comm = np.searchsorted(new_ids, self.out_c)
+        else:
+            src_comm = np.empty(0, dtype=np.int64)
+            dst_comm = np.empty(0, dtype=np.int64)
+        return frag, (
+            new_partition.owner(dst_comm), src_comm, dst_comm, self.out_w
         )
-    else:
-        acc = np.zeros(st.owned.size, dtype=np.float64)
-    two_m = 2.0 * m
-    partial = float(
-        (acc / two_m).sum() - resolution * ((st.tot / two_m) ** 2).sum()
-    )
-    return partial, int(c_in.size + st.owned.size)
 
 
-def _contraction_outbox(
-    st: _VectorRankState, new_ids: np.ndarray, new_partition: ModuloPartition
-):
-    """RECONSTRUCTION: ``(label fragment, superedge outbox)`` for one rank.
+class VectorBackend(_Schedule):
+    """Flat-array data-plane: :class:`_VectorRankState` under the shared schedule.
 
-    The fragment renames the rank's owned vertices to next-level ids; the
-    outbox turns each Out_Table entry into a superedge addressed to the
-    owner of its destination supervertex (Fig. 3's all-to-all).
-    """
-    frag = np.searchsorted(new_ids, st.community)
-    if st.out_ul.size:
-        src_comm = frag[st.out_ul]
-        dst_comm = np.searchsorted(new_ids, st.out_c)
-    else:
-        src_comm = np.empty(0, dtype=np.int64)
-        dst_comm = np.empty(0, dtype=np.int64)
-    return frag, (new_partition.owner(dst_comm), src_comm, dst_comm, st.out_w)
-
-
-def _level_work(ranks) -> int:
-    """The executor's size for one superstep: the level's adjacency entries.
-
-    Every per-rank kernel's arrays scale with the rank's in-edges.
-    """
-    return sum(int(st.in_v.size) for st in ranks)
-
-
-class VectorBackend:
-    """Flat-array data-plane; same control-plane as the hash backend.
-
-    Every per-rank loop runs through ``Simulation.map_ranks`` (concurrently
-    when the host has spare cores and the level is large enough);
-    exchanges, collectives and profiler charges stay on the driver thread in
-    ascending rank order.
+    Every kernel runs through ``Simulation.map_ranks`` (concurrently when
+    the host has spare cores and the level is large enough); exchanges,
+    collectives and profiler charges stay with the schedule on the driver
+    thread.
     """
 
     name = "vector"
 
-    def __init__(self) -> None:
-        self._idx = np.empty(0, dtype=np.int32)
-
-    def _indices(self, size: int) -> np.ndarray:
-        """Cached ``arange(size)`` (int32) for the per-iteration gain scan.
-
-        Driver thread only: size it for the largest rank before the map.
-        """
-        if self._idx.size < size:
-            self._idx = np.arange(
-                max(size, 2 * self._idx.size), dtype=np.int32
-            )
-        return self._idx[:size]
-
-    # -------------------------------------------------------------- #
-    # State construction
-    # -------------------------------------------------------------- #
-
-    def build_states(self, sim, partition, graph, config):
-        return self.local_states(
-            sim, partition, list(partition.in_edge_shards(graph))
-        )
-
-    def local_states(self, sim, partition, shards):
+    def local_states(self, sim, partition, shards, config):
         """Rank states from in-edge shards ``(rank, v, u, w)``.
 
         The sanitizer's finite-weight contract runs on the driver thread
@@ -531,143 +439,7 @@ class VectorBackend:
             for rank, _, _, w in shards:
                 sim.sanitizer.check_finite(w, rank=rank, what="in-edge weights")
         return sim.map_ranks(
-            lambda shard: _VectorRankState(shard[0], partition, *shard[1:]),
+            lambda shard: _VectorRankState(partition, *shard),
             shards,
             work=sum(int(shard[3].size) for shard in shards),
         )
-
-    # -------------------------------------------------------------- #
-    # STATE PROPAGATION (Algorithm 3) + sigma_tot replica refresh
-    # -------------------------------------------------------------- #
-
-    def state_propagation(self, sim, partition, ranks):
-        bus = sim.bus
-        prof = sim.profiler
-        work = _level_work(ranks)
-        outboxes = sim.map_ranks(_propagation_outbox, ranks, work=work)
-        for st in ranks:
-            prof.add_ops(st.rank, st.in_v.size)
-        result = bus.exchange_grouped(outboxes)
-        static_inbox = bus.reorder_rng is None
-        scanned = sim.map_ranks(
-            lambda st: _rebuild_out_table(
-                st, result.inbox(st.rank), static_inbox
-            ),
-            ranks,
-            work=work,
-        )
-        for st, ops in zip(ranks, scanned):
-            prof.add_ops(st.rank, ops)
-        self._fetch_sigma(sim, partition, ranks)
-
-    def _fetch_sigma(self, sim, partition, ranks):
-        """Dense-replica refresh; same two supersteps and request sets as
-        the hash path's ``_fetch_sigma_tot`` (the flag-array scan yields the
-        same ascending distinct-community set ``np.unique`` would).
-        """
-        bus = sim.bus
-        prof = sim.profiler
-        in_order = bus.reorder_rng is None
-        work = _level_work(ranks)
-        requests = sim.map_ranks(
-            lambda st: _sigma_request(st, partition), ranks, work=work
-        )
-        got = bus.exchange_grouped(requests)
-        answered = sim.map_ranks(
-            lambda st: _sigma_reply(
-                st, got.inbox(st.rank), partition, in_order
-            ),
-            ranks,
-            work=work,
-        )
-        for st, (_, ops) in zip(ranks, answered):
-            prof.add_ops(st.rank, ops)
-        back = bus.exchange_grouped([reply for reply, _ in answered])
-        sim.map_ranks(
-            lambda st: _store_sigma(st, back.inbox(st.rank)), ranks, work=work
-        )
-
-    # -------------------------------------------------------------- #
-    # FIND_BEST (Algorithm 4 lines 6-9)
-    # -------------------------------------------------------------- #
-
-    def find_best(self, sim, partition, ranks, m, resolution):
-        prof = sim.profiler
-        for st in ranks:
-            prof.add_ops(st.rank, st.out_ul.size)
-        idx = self._indices(max((st.out_ul.size for st in ranks), default=0))
-        best = sim.map_ranks(
-            lambda st: _find_best_rank(st, m, resolution, idx),
-            ranks,
-            work=_level_work(ranks),
-        )
-        return [mu for mu, _ in best], [chat for _, chat in best]
-
-    # -------------------------------------------------------------- #
-    # MODULARITY (Algorithm 4 lines 17-25)
-    # -------------------------------------------------------------- #
-
-    def compute_modularity(self, sim, partition, ranks, m, resolution):
-        bus = sim.bus
-        prof = sim.profiler
-        work = _level_work(ranks)
-        outboxes = sim.map_ranks(
-            lambda st: _modularity_outbox(st, partition), ranks, work=work
-        )
-        for st in ranks:
-            prof.add_ops(st.rank, st.out_ul.size)
-        result = bus.exchange_grouped(outboxes)
-        terms = sim.map_ranks(
-            lambda st: _modularity_partial(
-                st, result.inbox(st.rank), partition, m, resolution
-            ),
-            ranks,
-            work=work,
-        )
-        for st, (_, ops) in zip(ranks, terms):
-            prof.add_ops(st.rank, ops)
-        return float(bus.allreduce_sum([partial for partial, _ in terms]))
-
-    # -------------------------------------------------------------- #
-    # GRAPH RECONSTRUCTION (Algorithm 5)
-    # -------------------------------------------------------------- #
-
-    def reconstruct(self, sim, partition, ranks, config):
-        bus = sim.bus
-        prof = sim.profiler
-        work = _level_work(ranks)
-        used = bus.allgather(
-            sim.map_ranks(lambda st: np.unique(st.community), ranks, work=work)
-        )
-        new_ids = (
-            np.unique(np.concatenate(used)) if used else np.empty(0, np.int64)
-        )
-        n_new = int(new_ids.size)
-        new_partition = ModuloPartition(n_new, partition.num_ranks)
-
-        contracted = sim.map_ranks(
-            lambda st: _contraction_outbox(st, new_ids, new_partition),
-            ranks,
-            work=work,
-        )
-        # Gather the per-rank renamed shards so every rank (and the driver)
-        # holds the full dendrogram row -- in process mode each worker only
-        # computes its own fragment locally.
-        frags = bus.side_gather([frag for frag, _ in contracted])
-        labels = np.empty(partition.num_vertices, dtype=np.int64)
-        for rank in range(partition.num_ranks):
-            labels[partition.owned(rank)] = frags[rank]
-
-        for st in ranks:
-            prof.add_ops(st.rank, st.out_ul.size)
-        result = bus.exchange([outbox for _, outbox in contracted])
-
-        shards = []
-        for st in ranks:
-            v_in, u_in, w_in = result.inbox(st.rank)
-            prof.add_ops(st.rank, np.asarray(v_in).size)
-            shards.append(
-                (st.rank, v_in, u_in, np.asarray(w_in, dtype=np.float64))
-            )
-        new_states = self.local_states(sim, new_partition, shards)
-        return new_states, new_partition, labels

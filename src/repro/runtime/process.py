@@ -23,10 +23,11 @@ profiler, sanitizer and reorder RNG from
 transport.  What is left here:
 
 * parent: publishes the shards (plus the warm-start membership) via
-  :func:`~repro.runtime.shm.publish_arrays`, forks workers, drains the
-  streamed trace events into the caller's tracer, merges the per-worker
-  profiler columns into the run's profiler, and owns segment cleanup on
-  **both** success and failure paths.
+  :func:`~repro.runtime.shm.publish_arrays`, forks workers, replays the
+  streamed trace events into the caller's tracer at the time rank 0
+  emitted them, merges the per-worker profiler columns into the run's
+  profiler and the workers' sanitizer check counts into its sanitizer,
+  and owns segment cleanup on **both** success and failure paths.
 * workers: pure SPMD peers.  Rank 0 additionally streams trace events to
   the parent through a queue-backed
   :class:`~repro.observability.sinks.QueueTraceSink` and ships the result
@@ -124,13 +125,13 @@ class _WorkerCtx:
     num_edges: int
     level0_q: float
     sanitize: "bool | Sanitizer | None"
-    tracing: bool
-    trace_queue: Any
+    #: Rank 0's tracer (``NULL_TRACER`` when the caller does not trace).
+    tracer: "Tracer"
     result_queue: Any
 
 
 def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
-    from ..observability.tracer import NULL_TRACER, Tracer
+    from ..observability.tracer import NULL_TRACER
     from ..parallel.louvain import _louvain_core
     from ..parallel.vectorized import VectorBackend
 
@@ -138,14 +139,8 @@ def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
     if fault == "exit":
         os._exit(3)
 
-    tracer = NULL_TRACER
-    sink = None
+    tracer = ctx.tracer if rank == 0 else NULL_TRACER
     try:
-        if ctx.tracing and rank == 0:
-            from ..observability.sinks import QueueTraceSink
-
-            sink = QueueTraceSink(ctx.trace_queue)
-            tracer = Tracer(sink=sink, buffer=False)
         ctx.bus.bind(rank)
         sim = Simulation.create(
             ctx.config.num_ranks,
@@ -169,7 +164,7 @@ def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
             sim,
             ctx.partition,
             backend,
-            backend.local_states(sim, ctx.partition, [shard]),
+            backend.local_states(sim, ctx.partition, [shard], ctx.config),
             ctx.config,
             num_vertices=ctx.partition.num_vertices,
             num_edges=ctx.num_edges,
@@ -182,6 +177,7 @@ def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
             "scopes": sim.profiler.scopes,
             "num_levels": len(levels),
             "bytes_moved": ctx.bus.bytes_moved,
+            "checks_run": sim.sanitizer.checks_run,
         }
         if rank == 0:
             payload["membership"] = membership
@@ -189,8 +185,7 @@ def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
             payload["modularities"] = modularities
             payload["levels"] = levels
         ctx.result_queue.put(("ok", rank, payload))
-        if sink is not None:
-            tracer.close()
+        tracer.close()
     except BaseException as exc:
         # Break the barrier first so peers error out instead of hanging,
         # then report; the parent turns this into ProcessExecutionError.
@@ -205,11 +200,10 @@ def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
             ctx.result_queue.put((status, rank, traceback.format_exc()))
         except Exception:
             pass
-        if sink is not None:
-            try:
-                tracer.close()
-            except Exception:
-                pass
+        try:
+            tracer.close()
+        except Exception:
+            pass
 
 
 # ===================================================================== #
@@ -217,15 +211,16 @@ def _worker_main(ctx: _WorkerCtx, rank: int) -> None:
 # ===================================================================== #
 
 
-def _replay_event(tracer: "Tracer", payload: dict) -> None:
+def _drain_trace(
+    trace_queue, tracer: "Tracer", source: "Tracer", done: bool
+) -> bool:
+    """Replay rank 0's queued trace events; True once the sentinel arrived.
+
+    ``source`` is rank 0's tracer: each event keeps the time it was
+    emitted (:meth:`~repro.observability.tracer.Tracer.replay`).
+    """
     from ..observability.events import TraceEvent
 
-    ev = TraceEvent.from_dict(payload)
-    tracer.emit(ev.kind, ev.name, rank=ev.rank, **ev.data)
-
-
-def _drain_trace(trace_queue, tracer: "Tracer | None", done: bool) -> bool:
-    """Replay queued trace events; returns True once the sentinel arrived."""
     while True:
         try:
             item = trace_queue.get_nowait()
@@ -233,8 +228,8 @@ def _drain_trace(trace_queue, tracer: "Tracer | None", done: bool) -> bool:
             return done
         if item is None:
             done = True
-        elif tracer is not None and tracer.enabled:
-            _replay_event(tracer, item)
+        elif tracer.enabled:
+            tracer.replay(TraceEvent.from_dict(item), source.origin)
 
 
 def _merge_phase_dicts(
@@ -276,11 +271,15 @@ def process_louvain(
 
     :func:`repro.parallel.louvain.parallel_louvain` calls this when
     ``config.execution == "process"``.  The workers' per-rank counters are
-    merged into ``sim.profiler``, so they match the simulated run's.
+    merged into ``sim.profiler``, so they match the simulated run's, and a
+    sanitized run's ``sim.sanitizer`` counts every worker's checks.
     Returns rank 0's ``(membership, level_labels, modularities, levels)``
     and the raw bytes the shared-memory bus carried, summed over workers.
     """
     import multiprocessing
+
+    from ..observability.sinks import QueueTraceSink
+    from ..observability.tracer import NULL_TRACER, Tracer
 
     try:
         mp_ctx = multiprocessing.get_context("fork")
@@ -319,6 +318,13 @@ def process_louvain(
         trace_queue = mp_ctx.Queue()
         result_queue = mp_ctx.Queue()
         queues = [trace_queue, result_queue]
+        # Rank 0's tracer is made before the fork, so its origin is known
+        # here and the replay can put each event back at its time.
+        worker_tracer = (
+            Tracer(sink=QueueTraceSink(trace_queue), buffer=False)
+            if tracer.enabled
+            else NULL_TRACER
+        )
         ctx = _WorkerCtx(
             bus=bus,
             manifest=manifest,
@@ -327,8 +333,7 @@ def process_louvain(
             num_edges=graph.num_edges,
             level0_q=level0_q,
             sanitize=sanitize,
-            tracing=tracer.enabled,
-            trace_queue=trace_queue,
+            tracer=worker_tracer,
             result_queue=result_queue,
         )
         procs = [
@@ -338,7 +343,9 @@ def process_louvain(
         for p in procs:
             p.start()
         while len(payloads) + len(errors) < P:
-            trace_done = _drain_trace(trace_queue, tracer, trace_done)
+            trace_done = _drain_trace(
+                trace_queue, tracer, worker_tracer, trace_done
+            )
             if grace_end is not None and (
                 _primary(errors) is not None or time.monotonic() >= grace_end
             ):
@@ -374,7 +381,9 @@ def process_louvain(
                 if p.is_alive():
                     p.terminate()
                     p.join(timeout=2.0)
-            trace_done = _drain_trace(trace_queue, tracer, trace_done)
+            trace_done = _drain_trace(
+                trace_queue, tracer, worker_tracer, trace_done
+            )
             rank = _primary(errors)
             if rank is None:
                 rank = min(errors)
@@ -387,7 +396,9 @@ def process_louvain(
             p.join(timeout=10.0)
         deadline = time.monotonic() + 5.0
         while not trace_done and time.monotonic() < deadline:
-            trace_done = _drain_trace(trace_queue, tracer, trace_done)
+            trace_done = _drain_trace(
+                trace_queue, tracer, worker_tracer, trace_done
+            )
             if not trace_done:
                 time.sleep(0.01)
     finally:
@@ -417,6 +428,8 @@ def process_louvain(
                 "control flow diverged"
             )
     sim.profiler.scopes = _merge_phase_dicts([w["scopes"] for w in workers])
+    if sim.sanitizer.enabled:
+        sim.sanitizer.checks_run += sum(int(w["checks_run"]) for w in workers)
     outcome = (
         root["membership"], root["level_labels"], root["modularities"],
         root["levels"],

@@ -224,11 +224,11 @@ class TestSanitizedRuns:
     def test_seeded_reconstruction_weight_loss_raises(
         self, two_cliques, monkeypatch
     ):
-        real = louvain_mod._reconstruct
+        real = louvain_mod._HashBackend.reconstruct
 
-        def lossy(sim, partition, ranks, config):
+        def lossy(self, sim, partition, ranks, config):
             new_ranks, new_partition, labels = real(
-                sim, partition, ranks, config
+                self, sim, partition, ranks, config
             )
             table = new_ranks[0].tables.in_table
             keys, weights = table.items()
@@ -236,7 +236,7 @@ class TestSanitizedRuns:
                 table.insert_accumulate(keys[:1], np.array([-weights[0]]))
             return new_ranks, new_partition, labels
 
-        monkeypatch.setattr(louvain_mod, "_reconstruct", lossy)
+        monkeypatch.setattr(louvain_mod._HashBackend, "reconstruct", lossy)
         with pytest.raises(InvariantViolation) as ei:
             parallel_louvain(two_cliques, num_ranks=3, sanitize=True)
         assert ei.value.invariant == "weight-conservation"
@@ -255,9 +255,9 @@ class TestSanitizedRuns:
         assert ei.value.invariant == "epsilon-bounds"
 
     def test_seeded_nonfinite_weight_raises(self, two_cliques, monkeypatch):
-        real = louvain_mod._state_propagation
+        real = louvain_mod._HashBackend.state_propagation
 
-        def poisoning(sim, partition, ranks):
+        def poisoning(self, sim, partition, ranks):
             for st in ranks:
                 if len(st.tables.in_table):
                     keys, weights = st.tables.in_table.items()
@@ -265,9 +265,11 @@ class TestSanitizedRuns:
                         keys[:1], np.array([np.nan])
                     )
                     break
-            return real(sim, partition, ranks)
+            return real(self, sim, partition, ranks)
 
-        monkeypatch.setattr(louvain_mod, "_state_propagation", poisoning)
+        monkeypatch.setattr(
+            louvain_mod._HashBackend, "state_propagation", poisoning
+        )
         with pytest.raises(InvariantViolation) as ei:
             parallel_louvain(two_cliques, num_ranks=2, sanitize=True)
         assert ei.value.invariant in ("finite-weights", "in-table-immutable")
@@ -322,7 +324,7 @@ class TestSanitizedVectorRuns:
     def test_seeded_nonfinite_weight_raises(self, two_cliques, monkeypatch):
         import repro.parallel.vectorized as vectorized_mod
 
-        real = vectorized_mod._contraction_outbox
+        real = vectorized_mod._VectorRankState.contraction_outbox
 
         def poisoning(st, new_ids, new_partition):
             frag, (dest, src, dst, w) = real(st, new_ids, new_partition)
@@ -331,7 +333,9 @@ class TestSanitizedVectorRuns:
                 w[0] = np.nan
             return frag, (dest, src, dst, w)
 
-        monkeypatch.setattr(vectorized_mod, "_contraction_outbox", poisoning)
+        monkeypatch.setattr(
+            vectorized_mod._VectorRankState, "contraction_outbox", poisoning
+        )
         with pytest.raises(InvariantViolation) as ei:
             parallel_louvain(
                 two_cliques, num_ranks=2, backend="vector", sanitize=True

@@ -77,12 +77,25 @@ def test_membership_and_modularity_identical(graph, num_ranks):
 @settings(max_examples=25, deadline=None)
 def test_fingerprints_identical_at_zero_tolerance(graph, num_ranks):
     traces = {}
+    scopes = {}
     for backend in ("hash", "vector"):
         tracer = Tracer()
-        _run(graph, num_ranks, backend, tracer=tracer)
+        result = _run(graph, num_ranks, backend, tracer=tracer)
         traces[backend] = fingerprint_events(tracer.events)
+        scopes[backend] = result.simulation.profiler.scopes
     drifts = compare_fingerprints(traces["hash"], traces["vector"], EXACT)
     assert not drifts, "\n".join(str(d) for d in drifts)
+    # Both charge the same traffic to every (level, iteration, phase)
+    # scope, first charged in the same order.  comp_ops differ: the hash
+    # backend charges probes where the vector backend charges records.
+    assert list(scopes["hash"]) == list(scopes["vector"])
+    for key, h in scopes["hash"].items():
+        v = scopes["vector"][key]
+        for name in ("records_sent", "bytes_sent", "messages_sent"):
+            np.testing.assert_array_equal(
+                getattr(h, name), getattr(v, name), err_msg=f"{key} {name}"
+            )
+        assert (h.supersteps, h.collectives) == (v.supersteps, v.collectives), key
 
 
 @given(graphs(max_vertices=16, max_edges=40), st.integers(1, 4))

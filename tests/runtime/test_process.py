@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.generators import generate_lfr
 from repro.graph import Graph
-from repro.observability import ListSink, Tracer
+from repro.observability import EventKind, ListSink, Tracer
 from repro.observability.golden import (
     GOLDEN_BENCHMARKS,
     Tolerances,
@@ -164,6 +164,57 @@ class TestTrajectoryEquivalence:
         assert runs[0].config.backend == "vector"
         np.testing.assert_array_equal(runs[0].membership, runs[1].membership)
         assert runs[0].modularities == runs[1].modularities
+
+
+class TestWorkerReports:
+    """What the workers report besides the result reaches the caller."""
+
+    def test_sanitizer_counts_every_workers_checks(self):
+        graph = generate_lfr(
+            num_vertices=300, avg_degree=10, max_degree=30, mixing=0.2,
+            min_community=10, max_community=60, seed=1,
+        ).graph
+
+        def checks(execution, num_ranks):
+            cfg = ParallelLouvainConfig(
+                num_ranks=num_ranks, backend="vector", execution=execution
+            )
+            result = parallel_louvain(graph, cfg, sanitize=True)
+            return result.simulation.sanitizer.checks_run
+
+        one_rank = checks("simulated", 1)
+        assert one_rank > 0
+        assert checks("process", 1) == one_rank
+        # Each of two workers runs the run-wide checks and its own rank's,
+        # which is what a one-rank run runs.
+        assert checks("process", 2) == 2 * one_rank
+
+    def test_trace_events_keep_their_emission_time(self, lfr300):
+        sink = ListSink()
+        tracer = Tracer(sink=sink, buffer=False)
+        cfg = ParallelLouvainConfig(
+            num_ranks=2, backend="vector", execution="process"
+        )
+        parallel_louvain(lfr300, cfg, tracer=tracer)
+        tracer.close()
+        events = sink.events
+        assert [ev.seq for ev in events] == list(range(len(events)))
+        assert all(a.ts <= b.ts for a, b in zip(events, events[1:]))
+        begins = []
+        for ev in events:
+            if ev.kind == EventKind.SPAN_BEGIN:
+                begins.append(ev)
+            elif ev.kind == EventKind.SPAN_END:
+                begin = begins.pop()
+                assert begin.name == ev.name
+                # The tracer reads its clock once for a span's start and
+                # again for the begin event (likewise at the end), so even
+                # an in-process span misses its duration by microseconds;
+                # events stamped at replay missed by up to the parent's
+                # 50 ms poll.
+                gap = ev.ts - begin.ts
+                assert abs(gap - ev.data["duration"]) < 1e-3, ev.name
+        assert not begins
 
 
 @st.composite

@@ -202,13 +202,13 @@ class TestThreadCountInvariance:
     def test_kernels_really_run_on_executor_threads(self, lfr, monkeypatch):
         _force_cpus(monkeypatch, 2)
         names = set()
-        real = vectorized._find_best_rank
+        real = vectorized._VectorRankState.find_best
 
         def spy(st, *args):
             names.add(threading.current_thread().name)
             return real(st, *args)
 
-        monkeypatch.setattr(vectorized, "_find_best_rank", spy)
+        monkeypatch.setattr(vectorized._VectorRankState, "find_best", spy)
         parallel_louvain(lfr, ParallelLouvainConfig(backend="vector", num_ranks=4))
         assert names and all(n.startswith("repro-rank") for n in names)
 
@@ -233,7 +233,7 @@ class TestFailures:
     @pytest.mark.parametrize("k", [0, 2])
     def test_seeded_violation_surfaces_lowest_rank(self, lfr, monkeypatch, k):
         _force_cpus(monkeypatch, 4)
-        real = vectorized._find_best_rank
+        real = vectorized._VectorRankState.find_best
 
         def seeded(st, *args):
             if st.rank == k:
@@ -243,7 +243,7 @@ class TestFailures:
                 raise InvariantViolation("seeded", "injected", rank=k + 1)
             return real(st, *args)
 
-        monkeypatch.setattr(vectorized, "_find_best_rank", seeded)
+        monkeypatch.setattr(vectorized._VectorRankState, "find_best", seeded)
         before = threading.active_count()
         with pytest.raises(InvariantViolation) as info:
             parallel_louvain(
