@@ -7,7 +7,9 @@ drives the full workflow over plain :mod:`urllib`:
 2. poll the job to completion and query a vertex's community;
 3. POST an edge batch, wait for the warm-start repair, re-query;
 4. check ``/healthz``, ``/diff``, and the ``/metrics`` job counters;
-5. shut the server down cleanly via ``POST /shutdown``.
+5. send back-to-back reads over one keep-alive connection and check that
+   none waits on a delayed ACK;
+6. shut the server down cleanly via ``POST /shutdown``.
 
 Run from the repository root::
 
@@ -17,6 +19,7 @@ Exits non-zero (via assert) if any step misbehaves; the CI
 ``service-smoke`` job runs this script on every push.
 """
 
+import http.client
 import json
 import os
 import subprocess
@@ -28,6 +31,11 @@ import urllib.request
 
 PORT = int(os.environ.get("REPRO_SMOKE_PORT", "8737"))
 BASE = f"http://127.0.0.1:{PORT}"
+#: Back-to-back reads sent over one keep-alive connection.
+KEEPALIVE_READS = 20
+#: Linux's minimum delayed-ACK timeout: what each read would wait if the
+#: server let Nagle hold a reply's body behind its headers.
+DELAYED_ACK_S = 0.040
 
 
 def request(method, path, body=None):
@@ -143,7 +151,28 @@ def main():
         segments = [f for f in os.listdir(trace_dir) if f.endswith(".jsonl")]
         assert segments, "service trace segments missing"
 
-        # 5. Clean shutdown via the API.
+        # 5. Back-to-back reads over one keep-alive connection.  A reply
+        # leaves in two writes (headers, then body); unless the server sets
+        # TCP_NODELAY, each read stalls on the client's delayed ACK.
+        conn = http.client.HTTPConnection("127.0.0.1", PORT, timeout=30)
+        try:
+            t0 = time.perf_counter()
+            for i in range(KEEPALIVE_READS):
+                conn.request("GET", f"/membership?vertex={i}")
+                resp = conn.getresponse()
+                assert resp.status == 200, resp.read()
+                json.loads(resp.read())
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        stall_s = KEEPALIVE_READS * DELAYED_ACK_S
+        print(f"{KEEPALIVE_READS} keep-alive reads in {elapsed * 1e3:.1f} ms")
+        assert elapsed < stall_s / 4, (
+            f"{KEEPALIVE_READS} keep-alive reads took {elapsed:.3f}s; "
+            f"delayed-ACK stalls would take {stall_s:.2f}s"
+        )
+
+        # 6. Clean shutdown via the API.
         status, doc = request("POST", "/shutdown")
         assert status == 202
         rc = server.wait(timeout=30)

@@ -91,10 +91,7 @@ class Tracer:
         **data: Any,
     ) -> TraceEvent | None:
         """Append one event; returns it (mainly for tests, None when no-op)."""
-        if self._lock is not None:
-            with self._lock:
-                return self._emit(kind, name, rank, data)
-        return self._emit(kind, name, rank, data)
+        return self._guarded_emit(kind, name, rank, data)
 
     def replay(self, event: TraceEvent, origin: float) -> TraceEvent | None:
         """Re-emit another tracer's event at the time it was emitted.
@@ -105,15 +102,26 @@ class Tracer:
         time axis.  It takes this tracer's next ``seq``.
         """
         ts = event.ts + (origin - self._t0)
-        if self._lock is not None:
-            with self._lock:
-                return self._emit(event.kind, event.name, event.rank, event.data, ts)
-        return self._emit(event.kind, event.name, event.rank, event.data, ts)
+        return self._guarded_emit(event.kind, event.name, event.rank, event.data, ts)
 
     @property
     def origin(self) -> float:
         """The clock reading event times count from."""
         return self._t0
+
+    def _guarded_emit(
+        self,
+        kind: str,
+        name: str,
+        rank: int | None,
+        data: dict[str, Any],
+        ts: float | None = None,
+    ) -> TraceEvent:
+        """:meth:`_emit` under the lock of a ``threadsafe`` tracer."""
+        if self._lock is not None:
+            with self._lock:
+                return self._emit(kind, name, rank, data, ts)
+        return self._emit(kind, name, rank, data, ts)
 
     def _emit(
         self,
@@ -149,21 +157,24 @@ class Tracer:
     # -------------------------------------------------------------- #
 
     def begin_span(self, name: str, *, rank: int | None = None) -> None:
-        self._span_stack.append((name, self._now(), rank))
-        self.emit(EventKind.SPAN_BEGIN, name, rank=rank)
+        ts = self._now()
+        self._span_stack.append((name, ts, rank))
+        self._guarded_emit(EventKind.SPAN_BEGIN, name, rank, {}, ts)
 
     def end_span(self, **data: Any) -> None:
         """Close the innermost span; ``data`` rides on the span_end event.
 
         The rank recorded at :meth:`begin_span` carries through, so both
-        halves of a span attribute to the same rank in exports.
+        halves of a span attribute to the same rank in exports.  Each span
+        edge reads the clock once, so ``span_end.ts - span_begin.ts`` equals
+        the span's ``duration``.
         """
         if not self._span_stack:
             raise RuntimeError("end_span with no open span")
         name, start, rank = self._span_stack.pop()
-        self.emit(
-            EventKind.SPAN_END, name, rank=rank,
-            duration=self._now() - start, **data,
+        ts = self._now()
+        self._guarded_emit(
+            EventKind.SPAN_END, name, rank, {"duration": ts - start, **data}, ts
         )
 
     @contextmanager

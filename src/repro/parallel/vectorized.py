@@ -36,6 +36,8 @@ raise :class:`repro.kernels.IndexWidthError` instead of silently wrapping.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from ..kernels import (
@@ -60,16 +62,21 @@ class _ArrayTableView:
     through ``items()`` / ``len()`` / ``stats()``; this view serves those
     queries straight from the CSR arrays so In_Table immutability and
     weight-conservation checks run unchanged against the vector backend.
+
+    The view reaches its state through a weak reference: the state holds
+    its views, and a strong back-reference would make every rank state a
+    reference cycle, left to the cyclic GC instead of being freed as soon
+    as the run drops it.
     """
 
     __slots__ = ("_state", "_kind")
 
     def __init__(self, state: "_VectorRankState", kind: str) -> None:
-        self._state = state
+        self._state = weakref.ref(state)
         self._kind = kind
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:
-        st = self._state
+        st = self._state()
         n = np.int64(st.n_level)
         stride = np.int64(st.num_ranks)
         if self._kind == "in":
@@ -79,7 +86,7 @@ class _ArrayTableView:
         return u_global * n + st.out_c, st.out_w
 
     def __len__(self) -> int:
-        st = self._state
+        st = self._state()
         return int(st.in_v.size if self._kind == "in" else st.out_ul.size)
 
     def stats(self) -> dict[str, float | int | str]:
@@ -137,6 +144,7 @@ class _VectorRankState(_RankStateBase):
         "prop_key_base",  # ... u_local * n_level, the static key half
         "prev_key",  # previous iteration's (u_local, c) keys ...
         "prev_order",  # ... and their sorting permutation (warm start)
+        "__weakref__",  # the table views' back-reference
     )
 
     def __init__(

@@ -35,7 +35,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 __all__ = [
     "JobState",
@@ -318,6 +318,7 @@ class JobQueue:
         *,
         result: dict[str, Any] | None = None,
         error: str | None = None,
+        publish: Callable[[], dict[str, Any]] | None = None,
     ) -> bool:
         """Move a RUNNING job to a terminal state (worker side).
 
@@ -327,12 +328,20 @@ class JobQueue:
         job that already reached a terminal state (cancelled during
         shutdown, say) is left untouched; returns whether the transition
         was applied.
+
+        ``publish``, when given, runs under the queue lock just before the
+        job settles, and what it returns is the job's result.  So a reader
+        of the job (:meth:`get`, :meth:`wait_terminal`) never sees what
+        ``publish`` made visible elsewhere while the job is still running,
+        nor the job settled before it.
         """
         if state not in JobState.TERMINAL:
             raise ValueError(f"finalize requires a terminal state, got {state!r}")
         with self._lock:
             if job.done:
                 return False
+            if publish is not None:
+                result = publish()
             if result is not None:
                 job.result = result
             _settle(job, state, error)

@@ -243,6 +243,11 @@ def _job_options(doc: dict) -> dict:
 class _Handler(BaseHTTPRequestHandler):
     server: "ServiceServer"  # set by ThreadingHTTPServer machinery
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on each accepted connection.  A reply leaves in two
+    #: writes (headers, then body); under Nagle the body would wait for
+    #: the client's delayed ACK of the headers, about 40 ms per request on
+    #: a keep-alive connection.
+    disable_nagle_algorithm = True
 
     # ---------------------------------------------------------------- #
     # Plumbing

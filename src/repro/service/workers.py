@@ -12,6 +12,11 @@ threads plus one deadline monitor:
   on a service-wide lock so concurrent batches chain deterministically
   instead of racing for the same base.
 
+Both kinds run on the vector data plane (:data:`JOB_BACKEND`) unless the job
+names its own backend: it is bitwise identical to the hash reference, which
+stays the default of the library and of ``repro detect``, and it cuts an
+update job's run time about threefold.
+
 Every job runs under its own :class:`~repro.observability.Tracer` whose sink
 (:class:`_JobTraceSink`) does two things per event: tag it with the job id
 and forward it into the service-wide streaming sink (the rotating JSONL file
@@ -43,6 +48,9 @@ from .jobs import Job, JobCancelled, JobQueue, JobState, TransientJobError
 from .store import SnapshotStore
 
 __all__ = ["JobContext", "WorkerPool", "DetectionService"]
+
+#: Data plane of every ``parallel`` and ``naive`` job that names no backend.
+JOB_BACKEND = "vector"
 
 
 class _LockedSink:
@@ -213,8 +221,9 @@ class WorkerPool:
             job_tracer.begin_span(f"job:{job.job_id}")  # lint: allow(phase-nesting)
             ctx.check_cancelled()  # cancel may have landed while claimed
             result = self.runner(job, ctx)
-            ctx.check_cancelled()  # cancel mid-run: discard the result
-            self.queue.finalize(job, JobState.DONE, result=result)
+            if not job.done:  # a publishing runner settles its own job
+                ctx.check_cancelled()  # cancel mid-run: discard the result
+                self.queue.finalize(job, JobState.DONE, result=result)
             self.tracer.add_counter("service_jobs_completed", 1)
             self._end_span(job_tracer, job)
         except JobCancelled as exc:
@@ -420,27 +429,29 @@ class DetectionService:
             "seed": self.seed,
             **job.payload["options"],
         }
-        if options.get("algorithm") == "parallel":
-            # The service-wide execution mode applies unless the job chose
-            # its own; the config picks the vector backend under "process".
-            options.setdefault("execution", self.execution)
+        if options.get("algorithm") in ("parallel", "naive"):
+            # The service-wide backend and execution mode apply unless the
+            # job chose its own.
+            options.setdefault("backend", JOB_BACKEND)
+            if options["algorithm"] == "parallel":
+                options.setdefault("execution", self.execution)
         graph = job.payload["graph"]
         summary = detect_communities(graph, tracer=ctx.tracer, **options)
-        snap = self.store.put(
-            graph, summary.membership, summary.modularity,
-            kind="full", job_id=job.job_id,
+        return self._publish(
+            job, ctx, {
+                "algorithm": summary.algorithm,
+                "modularity": float(summary.modularity),
+                "num_communities": summary.num_communities,
+                "num_levels": summary.num_levels,
+                "num_vertices": int(graph.num_vertices),
+                "num_edges": int(graph.num_edges),
+            },
+            graph, summary.membership, kind="full",
         )
-        return {
-            "version": snap.version,
-            "algorithm": summary.algorithm,
-            "modularity": float(summary.modularity),
-            "num_communities": summary.num_communities,
-            "num_levels": summary.num_levels,
-            "num_vertices": int(graph.num_vertices),
-            "num_edges": int(graph.num_edges),
-        }
 
     def _run_update(self, job: Job, ctx: JobContext) -> dict[str, Any]:
+        import numpy as np
+
         from ..metrics import modularity_from_labels
         from ..parallel import ParallelLouvainConfig, incremental_louvain
 
@@ -453,8 +464,11 @@ class DetectionService:
                     # No snapshot yet -- likely racing the first detect job.
                     raise TransientJobError(str(exc)) from exc
                 raise  # a named version that is gone will stay gone
-            options = dict(job.payload["options"])
-            options.setdefault("execution", self.execution)
+            options = {
+                "backend": JOB_BACKEND,
+                "execution": self.execution,
+                **job.payload["options"],
+            }
             config = ParallelLouvainConfig(
                 num_ranks=options.pop("num_ranks", self.num_ranks), **options
             )
@@ -470,20 +484,50 @@ class DetectionService:
                 if result.modularities
                 else modularity_from_labels(new_graph, result.membership)
             )
-            snap = self.store.put(
-                new_graph, result.membership, q,
-                kind="update", job_id=job.job_id, parent_version=base.version,
+            # Published under _update_lock: the next batch's base is this
+            # job's snapshot.
+            return self._publish(
+                job, ctx, {
+                    "base_version": base.version,
+                    "algorithm": "parallel",
+                    "modularity": float(q),
+                    "num_communities": int(np.unique(result.membership).size),
+                    "num_levels": result.num_levels,
+                    "num_vertices": int(new_graph.num_vertices),
+                    "num_edges": int(new_graph.num_edges),
+                },
+                new_graph, result.membership,
+                kind="update", parent_version=base.version,
             )
-        return {
-            "version": snap.version,
-            "base_version": base.version,
-            "algorithm": "parallel",
-            "modularity": float(q),
-            "num_communities": snap.num_communities,
-            "num_levels": result.num_levels,
-            "num_vertices": int(new_graph.num_vertices),
-            "num_edges": int(new_graph.num_edges),
-        }
+
+    def _publish(
+        self,
+        job: Job,
+        ctx: JobContext,
+        result: dict[str, Any],
+        graph,
+        membership,
+        **snapshot: Any,
+    ) -> dict[str, Any]:
+        """Store the job's snapshot and settle the job DONE in one step.
+
+        Both happen under the queue lock, so a client that sees the new
+        version (``/healthz``, ``/membership``) finds its job done, and one
+        that finds the job done finds its version.  A cancel that landed
+        first discards the result: nothing is stored.
+        """
+        ctx.check_cancelled()
+        self.queue.finalize(
+            job, JobState.DONE,
+            publish=lambda: {
+                "version": self.store.put(
+                    graph, membership, result["modularity"],
+                    job_id=job.job_id, **snapshot,
+                ).version,
+                **result,
+            },
+        )
+        return job.result
 
     # -------------------------------------------------------------- #
     # Read API

@@ -1,8 +1,11 @@
 """Tests for the parallel Louvain algorithm (Algorithms 2-5)."""
 
+import gc
+
 import numpy as np
 import pytest
 
+import repro.runtime.engine as engine
 from repro.generators import generate_lfr
 from repro.graph import Graph
 from repro.metrics import modularity, normalized_mutual_information
@@ -224,3 +227,29 @@ class TestDiagnostics:
         # All but the final (non-improving, unrecorded) refine pass.
         assert per_level <= total
         assert per_level > 0.4 * total
+
+
+class TestMemory:
+    @pytest.mark.parametrize(
+        "backend, cpus", [("hash", 1), ("vector", 1), ("vector", 2)]
+    )
+    def test_run_leaves_no_cyclic_garbage(
+        self, lfr_graph, monkeypatch, backend, cpus
+    ):
+        """A level's rank states are freed by reference counting as soon as
+        the run drops them.  A reference cycle would leave them, and every
+        array they hold, to the cyclic GC, and in a long-lived server they
+        pile up between collections."""
+        monkeypatch.setattr(engine, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(engine, "MIN_THREADED_WORK", 0)
+        gc.collect()
+        gc.disable()
+        try:
+            result = parallel_louvain(
+                lfr_graph.graph, num_ranks=4, backend=backend
+            )
+            assert result.num_levels >= 2
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -207,13 +207,12 @@ class TestWorkerReports:
             elif ev.kind == EventKind.SPAN_END:
                 begin = begins.pop()
                 assert begin.name == ev.name
-                # The tracer reads its clock once for a span's start and
-                # again for the begin event (likewise at the end), so even
-                # an in-process span misses its duration by microseconds;
+                # One clock read per span edge, so the gap is the span's
+                # duration up to the rounding of the replay's clock offset;
                 # events stamped at replay missed by up to the parent's
                 # 50 ms poll.
                 gap = ev.ts - begin.ts
-                assert abs(gap - ev.data["duration"]) < 1e-3, ev.name
+                assert abs(gap - ev.data["duration"]) < 1e-9, ev.name
         assert not begins
 
 

@@ -1,6 +1,8 @@
 """HTTP-level tests: routes, backpressure 503s, liveness under load."""
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -154,6 +156,34 @@ class TestRoutes:
             server.service.pool.runner = original
             for job_id in held:
                 _poll_done(base, job_id)
+
+
+class TestKeepAlive:
+    def test_back_to_back_reads_on_one_connection_do_not_stall(
+        self, server, edges
+    ):
+        # A reply leaves in two writes, headers then body.  Under Nagle the
+        # body waits for the client's delayed ACK of the headers (40 ms or
+        # more on Linux), so every request on a keep-alive connection would
+        # take that long; with TCP_NODELAY they take well under a
+        # millisecond.
+        base = server.address
+        _, doc, _ = _request(base, "POST", "/graph", {"edges": edges})
+        assert _poll_done(base, doc["job_id"])["state"] == "done"
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        seconds = []
+        try:
+            for vertex in range(20):
+                t0 = time.perf_counter()
+                conn.request("GET", f"/membership?vertex={vertex}")
+                resp = conn.getresponse()
+                body = resp.read()
+                seconds.append(time.perf_counter() - t0)
+                assert resp.status == 200, body
+        finally:
+            conn.close()
+        assert statistics.median(seconds) < 0.01, seconds
 
 
 class TestBackpressureAndLiveness:

@@ -17,7 +17,12 @@ import pytest
 from repro.graph import planted_partition
 from repro.metrics import modularity_from_labels
 from repro.observability import ListSink
-from repro.parallel import EdgeBatch, apply_edge_batch, detect_communities
+from repro.parallel import (
+    EdgeBatch,
+    apply_edge_batch,
+    detect_communities,
+    incremental_louvain,
+)
 from repro.service import (
     DetectionService,
     JobState,
@@ -260,6 +265,92 @@ class TestDetectionAndUpdates:
         assert modularity_from_labels(
             final_graph, warm_snap.membership
         ) == pytest.approx(warm_snap.modularity, abs=1e-9)
+
+    def test_jobs_run_vector_and_match_the_hash_reference(self, small_lfr):
+        """Detect and update jobs run on the vector data plane and give the
+        hash reference's membership and Q to the last bit."""
+        graph = small_lfr.graph
+        n = graph.num_vertices
+        rng = np.random.default_rng(5)
+        src, dst, _ = graph.edge_arrays()
+        drop = rng.choice(src.size, size=20, replace=False)
+        add_src = rng.integers(0, n, size=30)
+        batches = [
+            EdgeBatch(
+                add_src=add_src, add_dst=(add_src + rng.integers(1, n, 30)) % n,
+                remove_src=src[drop], remove_dst=dst[drop],
+            ),
+            # Grows the vertex set: new vertices start as singletons.
+            EdgeBatch(add_src=np.array([0, n, n + 1]),
+                      add_dst=np.array([n, n + 1, 7])),
+        ]
+        sink = ListSink()
+        with DetectionService(num_workers=1, seed=0, sink=sink) as svc:
+            jobs = [svc.submit_graph(graph)]
+            jobs += [svc.submit_edge_batch(b) for b in batches]
+            jobs = [svc.wait(job.job_id, timeout=60) for job in jobs]
+            assert [job.state for job in jobs] == [JobState.DONE] * 3
+            snaps = [svc.snapshot(job.result["version"]) for job in jobs]
+
+        ref = detect_communities(
+            graph, algorithm="parallel", num_ranks=4, seed=0, backend="hash"
+        )
+        expected = [(ref.membership, ref.modularity)]
+        base_graph, base_membership = graph, ref.membership
+        for batch in batches:
+            base_graph, res = incremental_louvain(
+                base_graph, batch, base_membership, num_ranks=4, backend="hash"
+            )
+            base_membership = res.membership
+            q = (
+                res.final_modularity
+                if res.modularities  # a level was kept
+                else modularity_from_labels(base_graph, res.membership)
+            )
+            expected.append((res.membership, q))
+        for snap, (membership, q) in zip(snaps, expected):
+            np.testing.assert_array_equal(snap.membership, membership)
+            assert snap.modularity == q
+
+        stats = [e for e in sink.events if e.kind == "table_stats"]
+        assert {e.data["job_id"] for e in stats} == {j.job_id for j in jobs}
+        assert {e.data["hash"] for e in stats} == {"csr"}
+
+    def test_job_may_name_its_backend(self, graph):
+        sink = ListSink()
+        with DetectionService(num_workers=1, sink=sink) as svc:
+            job = svc.wait(
+                svc.submit_graph(graph, backend="hash").job_id, timeout=60
+            )
+            assert job.state == JobState.DONE
+        stats = [e for e in sink.events if e.kind == "table_stats"]
+        assert stats and all(e.data["hash"] != "csr" for e in stats)
+
+    def test_job_is_done_once_its_version_is_visible(self, graph, monkeypatch):
+        # A client that sees a job's version (say in /healthz) and then
+        # reads the job must find it done.
+        with DetectionService(num_workers=1) as svc:
+            put = svc.store.put
+            readers, seen = [], []
+
+            def put_then_read(*args, **kwargs):
+                snap = put(*args, **kwargs)
+                reader = threading.Thread(
+                    target=lambda: seen.append(svc.job(kwargs["job_id"]).state)
+                )
+                reader.start()
+                reader.join(0.5)  # it waits on the queue lock until settled
+                readers.append(reader)
+                return snap
+
+            monkeypatch.setattr(svc.store, "put", put_then_read)
+            jobs = [svc.submit_graph(graph), svc.submit_edge_batch(
+                EdgeBatch(add_src=np.array([0]), add_dst=np.array([7])))]
+            jobs = [svc.wait(job.job_id, timeout=60) for job in jobs]
+            for reader in readers:
+                reader.join(5)
+        assert [job.state for job in jobs] == [JobState.DONE] * 2
+        assert seen == [JobState.DONE] * 2
 
     def test_update_chains_versions(self, graph):
         with DetectionService(num_workers=1) as svc:
