@@ -9,7 +9,9 @@ drives the full workflow over plain :mod:`urllib`:
 4. check ``/healthz``, ``/diff``, and the ``/metrics`` job counters;
 5. send back-to-back reads over one keep-alive connection and check that
    none waits on a delayed ACK;
-6. shut the server down cleanly via ``POST /shutdown``.
+6. POST the graph again with a ``timeout_s`` far below its detection time
+   and check that the job fails as timed out and publishes nothing;
+7. shut the server down cleanly via ``POST /shutdown``.
 
 Run from the repository root::
 
@@ -62,13 +64,13 @@ def wait_for(predicate, timeout=60, interval=0.1, what="condition"):
     raise TimeoutError(f"timed out waiting for {what}")
 
 
-def poll_job(job_id):
+def poll_job(job_id, state="done"):
     def check():
         _, doc = request("GET", f"/jobs/{job_id}")
         return doc if doc["state"] in ("done", "failed", "cancelled") else None
 
     doc = wait_for(check, what=f"job {job_id}")
-    assert doc["state"] == "done", f"job {job_id} ended {doc['state']}: {doc['error']}"
+    assert doc["state"] == state, f"job {job_id} ended {doc['state']}: {doc['error']}"
     return doc
 
 
@@ -112,8 +114,9 @@ def main():
         job = poll_job(doc["job_id"])
         version = job["result"]["version"]
         q_full = job["result"]["modularity"]
+        detect_s = job["finished_at"] - job["started_at"]
         print(f"detect done: version={version} Q={q_full:.4f} "
-              f"levels={job['result']['num_levels']}")
+              f"levels={job['result']['num_levels']} in {detect_s * 1e3:.1f} ms")
         assert q_full > 0.3, "LFR mu=0.2 should yield strong communities"
 
         status, member = request("GET", "/membership?vertex=0")
@@ -172,7 +175,22 @@ def main():
             f"delayed-ACK stalls would take {stall_s:.2f}s"
         )
 
-        # 6. Clean shutdown via the API.
+        # 6. A deadline far below the detection time: the job's own
+        # checkpoint trips at an event the run emits, and nothing is stored.
+        timeout_s = detect_s / 20
+        status, doc = request(
+            "POST", "/graph", {"edges": edges, "seed": 0, "timeout_s": timeout_s}
+        )
+        assert status == 202, (status, doc)
+        late = poll_job(doc["job_id"], state="failed")
+        assert "timed out after" in late["error"], late
+        assert late["result"] is None, late
+        print(f"timeout_s={timeout_s:.4f}: {late['error']}")
+        status, metrics = request("GET", "/metrics")
+        assert "repro_service_jobs_timeout 1" in metrics, metrics
+        assert "repro_service_latest_version 2" in metrics, metrics
+
+        # 7. Clean shutdown via the API.
         status, doc = request("POST", "/shutdown")
         assert status == 202
         rc = server.wait(timeout=30)

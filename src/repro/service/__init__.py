@@ -6,13 +6,15 @@ changes very frequently" (§IV-A, §VII).  This package turns the one-shot
 library into that long-lived system:
 
 * :mod:`repro.service.jobs` -- the job model and a bounded priority queue
-  with backpressure, per-job timeout, cancellation and
-  retry-with-exponential-backoff;
-* :mod:`repro.service.workers` -- the worker pool (full
+  with backpressure, per-job timeout, cancellation,
+  retry-with-exponential-backoff and a bounded job registry;
+* :mod:`repro.service.workers` -- the embeddable :class:`DetectionService`
+  facade, whose worker threads run full
   :func:`~repro.parallel.detect_communities` runs and
-  :func:`~repro.parallel.dynamic.incremental_louvain` warm-start updates)
-  and the embeddable :class:`DetectionService` facade; every job is traced
-  through :mod:`repro.observability` into a shared streaming sink;
+  :func:`~repro.parallel.dynamic.incremental_louvain` warm-start updates;
+  every job is traced through :mod:`repro.observability` into a shared
+  streaming sink, and each emitted event is also the job's cancellation
+  and deadline checkpoint;
 * :mod:`repro.service.store` -- the versioned snapshot store behind
   point-in-time membership queries and version diffs;
 * :mod:`repro.service.server` -- the stdlib HTTP API (``repro serve``) with
@@ -30,7 +32,7 @@ from .jobs import (
 )
 from .server import ServiceServer, run_server
 from .store import Snapshot, SnapshotDiff, SnapshotStore
-from .workers import DetectionService, JobContext, WorkerPool
+from .workers import DetectionService, JobContext
 
 __all__ = [
     "Job",
@@ -41,7 +43,6 @@ __all__ = [
     "QueueFullError",
     "QueueClosedError",
     "TransientJobError",
-    "WorkerPool",
     "DetectionService",
     "Snapshot",
     "SnapshotDiff",

@@ -19,13 +19,16 @@ hand-off point between submitters and the worker pool:
   comes due;
 * **cancellation** -- cancelling a PENDING job removes it from contention
   immediately; cancelling a RUNNING job sets its ``cancel_event``, which the
-  worker observes through :class:`~repro.service.workers.JobContext` (and,
-  for real detection runs, through the per-job trace sink, so a run aborts
-  at its next emitted event rather than only at completion).
+  job's own checkpoint observes (see :mod:`repro.service.workers`): at each
+  ``JobContext.check_cancelled()`` and, for real detection runs, at each
+  event its trace sink receives, so a run aborts at its next emitted event
+  rather than only at completion;
+* **a bounded registry** -- every job stays reachable by id while it is
+  pending or running, and afterwards until :data:`MAX_SETTLED_JOBS` newer
+  jobs have settled.
 
-Timeouts reuse the same flag: the pool's monitor sets ``timed_out`` before
-setting ``cancel_event``, and the worker records the outcome as FAILED
-("timed out") instead of CANCELLED.
+The same checkpoint enforces a job's ``timeout``: it sets ``timed_out`` and
+the worker records the outcome as FAILED ("timed out") instead of CANCELLED.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import heapq
 import itertools
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -45,7 +49,13 @@ __all__ = [
     "QueueClosedError",
     "JobCancelled",
     "TransientJobError",
+    "MAX_SETTLED_JOBS",
 ]
+
+#: Settled (done, failed or cancelled) jobs the registry keeps; the oldest
+#: one is forgotten when a newer one settles, so a long-lived service's job
+#: records take bounded memory whatever its clients submit.
+MAX_SETTLED_JOBS = 1024
 
 
 class JobState:
@@ -73,7 +83,7 @@ class JobCancelled(Exception):
     """Raised inside a worker when its job's cancel flag is observed.
 
     ``reason`` is ``"cancelled"`` for an explicit cancel and ``"timeout"``
-    when the deadline monitor tripped the flag.
+    once the job has run longer than its ``timeout``.
     """
 
     def __init__(self, reason: str = "cancelled") -> None:
@@ -90,19 +100,6 @@ class TransientJobError(RuntimeError):
 
 
 _job_ids = itertools.count(1)
-
-
-def _settle(job: "Job", state: str, error: str | None) -> None:
-    """Move ``job`` to terminal ``state`` (queue lock held).
-
-    The payload is dropped: a terminal job never runs again, and its input
-    (a detect job's whole graph) must not outlive it in the job registry.
-    """
-    job.state = state
-    if error is not None:
-        job.error = error
-    job.finished_at = time.time()
-    job.payload = {}
 
 
 @dataclass
@@ -171,9 +168,11 @@ class JobQueue:
     """Bounded, thread-safe priority queue with delayed retry re-entry.
 
     ``capacity`` bounds *waiting* jobs (ready + backing off); RUNNING jobs
-    have left the queue.  All submitted jobs stay reachable through
-    :meth:`get` until :meth:`forget` or :meth:`close` -- the service's job
-    registry is the queue itself.
+    have left the queue but are counted (:attr:`running_count`).  The
+    service's job registry is the queue itself: a job stays reachable
+    through :meth:`get` while it is live, and once settled until
+    :data:`MAX_SETTLED_JOBS` newer jobs have settled or :meth:`forget`
+    drops it.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -190,7 +189,10 @@ class JobQueue:
         #: Backing-off min-heap: (not_before, seq, job).
         self._delayed: list[tuple[float, int, Job]] = []
         self._jobs: dict[str, Job] = {}
+        #: Ids of settled jobs, oldest first (the registry's eviction order).
+        self._settled: deque[str] = deque()
         self._pending = 0
+        self._running = 0
         self._closed = False
 
     # -------------------------------------------------------------- #
@@ -217,6 +219,25 @@ class JobQueue:
     def _push_ready(self, job: Job) -> None:
         heapq.heappush(self._ready, (job.priority, next(self._seq), job))
 
+    def _settle(self, job: Job, state: str, error: str | None) -> None:
+        """Move ``job`` to terminal ``state`` (queue lock held).
+
+        The payload is dropped: a terminal job never runs again, and its
+        input (a detect job's whole graph) must not outlive it in the job
+        registry.  The registry then forgets its oldest settled jobs beyond
+        :data:`MAX_SETTLED_JOBS`.
+        """
+        if job.state == JobState.RUNNING:
+            self._running -= 1
+        job.state = state
+        if error is not None:
+            job.error = error
+        job.finished_at = time.time()
+        job.payload = {}
+        self._settled.append(job.job_id)
+        while len(self._settled) > MAX_SETTLED_JOBS:
+            self._jobs.pop(self._settled.popleft(), None)
+
     def requeue(self, job: Job, *, delay: float = 0.0) -> None:
         """Re-enter a job for retry after ``delay`` seconds (worker side).
 
@@ -226,13 +247,14 @@ class JobQueue:
         """
         with self._lock:
             if self._closed:
-                _settle(
+                self._settle(
                     job, JobState.CANCELLED,
                     job.error or "queue closed during retry",
                 )
                 self._terminal.notify_all()
                 return
             job.state = JobState.PENDING
+            self._running -= 1
             self._pending += 1
             if delay > 0:
                 job.not_before = time.monotonic() + delay
@@ -253,7 +275,7 @@ class JobQueue:
             if job is None:
                 raise KeyError(f"unknown job {job_id!r}")
             if job.state == JobState.PENDING:
-                _settle(job, JobState.CANCELLED, "cancelled while queued")
+                self._settle(job, JobState.CANCELLED, "cancelled while queued")
                 self._pending -= 1
                 job.cancel_event.set()
                 self._terminal.notify_all()
@@ -300,6 +322,7 @@ class JobQueue:
                     job.attempts += 1
                     job.started_at = time.time()
                     self._pending -= 1
+                    self._running += 1
                     return job
                 wait: float | None = None
                 if self._delayed:
@@ -344,7 +367,7 @@ class JobQueue:
                 result = publish()
             if result is not None:
                 job.result = result
-            _settle(job, state, error)
+            self._settle(job, state, error)
             self._terminal.notify_all()
             return True
 
@@ -389,10 +412,6 @@ class JobQueue:
                 self._terminal.wait(wait)
             return job
 
-    def jobs(self) -> list[Job]:
-        with self._lock:
-            return list(self._jobs.values())
-
     def forget(self, job_id: str) -> None:
         """Drop a *terminal* job from the registry (bounding its memory)."""
         with self._lock:
@@ -407,6 +426,12 @@ class JobQueue:
             return self._pending
 
     @property
+    def running_count(self) -> int:
+        """Jobs claimed and not yet settled or requeued."""
+        with self._lock:
+            return self._running
+
+    @property
     def closed(self) -> bool:
         return self._closed
 
@@ -417,9 +442,10 @@ class JobQueue:
                 return
             self._closed = True
             if cancel_pending:
-                for job in self._jobs.values():
+                # A copy: settling may evict old jobs from the registry.
+                for job in list(self._jobs.values()):
                     if job.state == JobState.PENDING:
-                        _settle(
+                        self._settle(
                             job, JobState.CANCELLED,
                             "service shut down before the job ran",
                         )

@@ -322,23 +322,19 @@ class _Handler(BaseHTTPRequestHandler):
     # ---------------------------------------------------------------- #
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        t0 = time.perf_counter()
-        try:
-            self._dispatch_get()
-        except _BadRequest as exc:
-            self._bad_request(exc)
-        except KeyError as exc:
-            self._send(404, {"error": str(exc.args[0]) if exc.args else "not found"})
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
-        finally:
-            self.server.observe_request("GET", self._endpoint,
-                                        time.perf_counter() - t0)
+        self._handle(self._dispatch_get)
 
     def do_POST(self) -> None:  # noqa: N802
+        self._handle(self._dispatch_post)
+
+    def do_DELETE(self) -> None:  # noqa: N802
+        self._handle(self._dispatch_delete)
+
+    def _handle(self, dispatch) -> None:
+        """Run one routed request: map its errors to statuses, time it."""
         t0 = time.perf_counter()
         try:
-            self._dispatch_post()
+            dispatch()
         except _BadRequest as exc:
             self._bad_request(exc)
         except QueueFullError as exc:
@@ -351,25 +347,7 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # pragma: no cover - defensive
             self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
         finally:
-            self.server.observe_request("POST", self._endpoint,
-                                        time.perf_counter() - t0)
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        t0 = time.perf_counter()
-        try:
-            route = self._route
-            if route.startswith("/jobs/"):
-                job_id = route[len("/jobs/"):]
-                effective = self.service.cancel(job_id)
-                job = self.service.job(job_id)
-                self._send(200, {"job_id": job_id, "cancelled": effective,
-                                 "state": job.state})
-                return
-            self._send(404, {"error": f"no route DELETE {route}"})
-        except KeyError as exc:
-            self._send(404, {"error": str(exc.args[0]) if exc.args else "not found"})
-        finally:
-            self.server.observe_request("DELETE", self._endpoint,
+            self.server.observe_request(self.command, self._endpoint,
                                         time.perf_counter() - t0)
 
     def _method_not_allowed(self) -> None:
@@ -489,6 +467,21 @@ class _Handler(BaseHTTPRequestHandler):
             ).start()
         else:
             self._send(404, {"error": f"no route POST {route}"})
+
+    # ---------------------------------------------------------------- #
+    # DELETE routes
+    # ---------------------------------------------------------------- #
+
+    def _dispatch_delete(self) -> None:
+        route = self._route
+        if route.startswith("/jobs/"):
+            job_id = route[len("/jobs/"):]
+            effective = self.service.cancel(job_id)
+            job = self.service.job(job_id)
+            self._send(200, {"job_id": job_id, "cancelled": effective,
+                             "state": job.state})
+        else:
+            self._send(404, {"error": f"no route DELETE {route}"})
 
 
 class ServiceServer(ThreadingHTTPServer):

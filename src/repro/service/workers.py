@@ -1,7 +1,8 @@
-"""Worker pool and the embeddable :class:`DetectionService` facade.
+"""Worker threads and the embeddable :class:`DetectionService` facade.
 
-The pool drains the :class:`~repro.service.jobs.JobQueue` with N daemon
-threads plus one deadline monitor:
+The service drains its :class:`~repro.service.jobs.JobQueue` with N daemon
+worker threads, each blocked in ``claim`` until a job arrives or the queue
+closes:
 
 * a **detect** job runs :func:`repro.parallel.detect_communities` on the
   submitted graph and publishes the result as a new *full* snapshot;
@@ -10,7 +11,9 @@ threads plus one deadline monitor:
   :func:`~repro.parallel.dynamic.incremental_louvain` warm start, publishing
   an *update* snapshot chained to its base version.  Update jobs serialize
   on a service-wide lock so concurrent batches chain deterministically
-  instead of racing for the same base.
+  instead of racing for the same base; an update's ``started_at`` is
+  stamped once it holds that lock, so the wait for another update counts
+  as queue wait, not run time.
 
 Both kinds run on the vector data plane (:data:`JOB_BACKEND`) unless the job
 names its own backend: it is bitwise identical to the hash reference, which
@@ -18,21 +21,25 @@ stays the default of the library and of ``repro detect``, and it cuts an
 update job's run time about threefold.
 
 Every job runs under its own :class:`~repro.observability.Tracer` whose sink
-(:class:`_JobTraceSink`) does two things per event: tag it with the job id
-and forward it into the service-wide streaming sink (the rotating JSONL file
-of ``repro serve``), and **check the job's cancel flag**.  Detection emits
-events throughout a run (iterations, supersteps, spans), so cancellation and
-timeouts interrupt a real run at its next emitted event -- not only between
-jobs.  The worker wraps each attempt in a ``job:<id>`` span, giving the
-trace a per-job envelope with the outcome riding on the span end.
+(:class:`_JobTraceSink`) does two things per event: pass the job's
+checkpoint, and tag the event with the job id and forward it into the
+service-wide streaming sink (the rotating JSONL file of ``repro serve``).
+Detection emits events throughout a run (iterations, supersteps, spans), so
+cancellation and timeouts interrupt a real run at its next emitted event --
+not only between jobs.  The worker wraps each attempt in a ``job:<id>``
+span, giving the trace a per-job envelope with the outcome riding on the
+span end.
 
-Timeout semantics: the monitor thread compares each RUNNING job's age to its
-``timeout`` and trips the cancel flag with ``timed_out=True``; the job then
-surfaces as FAILED ("timed out after ...").  Timeouts are terminal -- a
-retried timeout would almost certainly time out again on the same input.
-Retries are reserved for :class:`~repro.service.jobs.TransientJobError`
-failures and back off exponentially per the job's backoff knobs; once
-``max_retries`` is exhausted the *last* error is what the job reports.
+Timeout semantics: no thread watches the clock.  The job's checkpoint
+(:func:`_checkpoint`, run at each emitted event and at each
+:meth:`JobContext.check_cancelled`) compares the job's age since
+``started_at`` to its ``timeout``; past it, the checkpoint sets
+``timed_out`` and raises, and the job surfaces as FAILED ("timed out after
+...").  Timeouts are terminal -- a retried timeout would almost certainly
+time out again on the same input.  Retries are reserved for
+:class:`~repro.service.jobs.TransientJobError` failures and back off
+exponentially per the job's backoff knobs; once ``max_retries`` is
+exhausted the *last* error is what the job reports.
 """
 
 from __future__ import annotations
@@ -47,10 +54,19 @@ from ..observability.tracer import Tracer
 from .jobs import Job, JobCancelled, JobQueue, JobState, TransientJobError
 from .store import SnapshotStore
 
-__all__ = ["JobContext", "WorkerPool", "DetectionService"]
+__all__ = ["JobContext", "DetectionService"]
 
 #: Data plane of every ``parallel`` and ``naive`` job that names no backend.
 JOB_BACKEND = "vector"
+
+
+def _checkpoint(job: Job) -> None:
+    """Raise :class:`JobCancelled` if ``job`` was cancelled or is past its deadline."""
+    if job.cancel_event.is_set():
+        raise JobCancelled("cancelled")
+    if job.timeout is not None and time.time() - job.started_at > job.timeout:
+        job.timed_out = True
+        raise JobCancelled("timeout")
 
 
 class _LockedSink:
@@ -72,9 +88,9 @@ class _LockedSink:
 class _JobTraceSink:
     """Per-job sink: cancellation checkpoint + job-id tagging + forwarding.
 
-    ``write`` raises :class:`JobCancelled` once the job's cancel flag is set,
-    which aborts the detection run at its next emitted event.  Closing is a
-    no-op -- the shared service sink outlives every job.
+    ``write`` raises :class:`JobCancelled` once the job is cancelled or past
+    its deadline, which aborts the detection run at its next emitted event.
+    Closing is a no-op -- the shared service sink outlives every job.
     """
 
     def __init__(self, job: Job, shared: _LockedSink | None) -> None:
@@ -83,8 +99,7 @@ class _JobTraceSink:
 
     def write(self, event: TraceEvent) -> None:
         job = self._job
-        if job.cancel_event.is_set():
-            raise JobCancelled("timeout" if job.timed_out else "cancelled")
+        _checkpoint(job)
         if self._shared is not None:
             self._shared.write(TraceEvent(
                 seq=event.seq, ts=event.ts, kind=event.kind, name=event.name,
@@ -108,112 +123,90 @@ class JobContext:
         Runners doing their own loops should call this periodically;
         detection runs get the same check for free through the trace sink.
         """
-        if self.job.cancel_event.is_set():
-            raise JobCancelled("timeout" if self.job.timed_out else "cancelled")
+        _checkpoint(self.job)
 
 
 Runner = Callable[[Job, JobContext], dict[str, Any]]
 
 
-class WorkerPool:
-    """N worker threads + a deadline monitor draining one queue."""
+class DetectionService:
+    """Long-lived, embeddable community-detection service.
+
+    Composes the bounded :class:`~repro.service.jobs.JobQueue`, its
+    ``num_workers`` worker threads, the versioned
+    :class:`~repro.service.store.SnapshotStore` and a service-wide tracer
+    whose cumulative counters back the ``/metrics`` endpoint.  The HTTP
+    layer (:mod:`repro.service.server`) is a thin shell over this class;
+    library users can embed it directly:
+
+    >>> with DetectionService(num_workers=2) as svc:        # doctest: +SKIP
+    ...     job = svc.submit_graph(graph)
+    ...     svc.wait(job.job_id)
+    ...     svc.membership(vertex=0)
+
+    ``runner`` replaces the job runner (detect/update dispatch) that every
+    worker calls; tests use it to run jobs that block or fail on demand.
+    """
 
     def __init__(
         self,
-        queue: JobQueue,
-        runner: Runner,
         *,
         num_workers: int = 2,
-        tracer: Tracer | None = None,
-        shared_sink: _LockedSink | None = None,
-        monitor_interval: float = 0.02,
+        queue_capacity: int = 64,
+        store_capacity: int | None = 32,
+        num_ranks: int = 4,
+        seed: int = 0,
+        execution: str = "simulated",
+        default_timeout: float | None = None,
+        default_max_retries: int = 0,
+        sink: TraceSink | None = None,
+        runner: Runner | None = None,
     ) -> None:
+        if execution not in ("simulated", "process"):
+            raise ValueError(f"unknown execution mode {execution!r}")
         if num_workers < 1:
             raise ValueError("need at least one worker")
-        self.queue = queue
-        self.runner = runner
+        self.queue = JobQueue(capacity=queue_capacity)
+        self.store = SnapshotStore(capacity=store_capacity)
+        self.num_ranks = int(num_ranks)
+        self.seed = seed
+        self.execution = execution
+        self.default_timeout = default_timeout
+        self.default_max_retries = int(default_max_retries)
+        self._shared_sink = _LockedSink(sink) if sink is not None else None
+        # Workers and submitters all bump counters on this one tracer.
+        self.tracer = Tracer(
+            sink=self._shared_sink if self._shared_sink is not None else NullSink(),
+            buffer=False,
+            threadsafe=True,
+        )
+        #: Updates serialize here so concurrent batches chain versions
+        #: deterministically instead of both warm-starting from one base.
+        self._update_lock = threading.Lock()
+        self._started_at = time.time()
+        self.runner: Runner = runner if runner is not None else self._run_job
         self.num_workers = int(num_workers)
-        # Shared across N workers' counter increments: must be threadsafe.
-        self.tracer = (
-            tracer
-            if tracer is not None
-            else Tracer(sink=NullSink(), buffer=False, threadsafe=True)
-        )
-        self.shared_sink = shared_sink
-        self.monitor_interval = monitor_interval
-        self._running: dict[str, Job] = {}
-        self._running_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-
-    # -------------------------------------------------------------- #
-    # Lifecycle
-    # -------------------------------------------------------------- #
-
-    def start(self) -> None:
-        if self._threads:
-            raise RuntimeError("pool already started")
-        for i in range(self.num_workers):
-            t = threading.Thread(
-                target=self._worker_loop, name=f"repro-worker-{i}", daemon=True
+        self._closed = False
+        self._threads = [
+            threading.Thread(
+                target=self._work, name=f"repro-worker-{i}", daemon=True
             )
-            t.start()
-            self._threads.append(t)
-        monitor = threading.Thread(
-            target=self._monitor_loop, name="repro-job-monitor", daemon=True
-        )
-        monitor.start()
-        self._threads.append(monitor)
-
-    def stop(self, timeout: float = 10.0) -> None:
-        self._stop.set()
-        self.queue.close()
+            for i in range(self.num_workers)
+        ]
         for t in self._threads:
-            t.join(timeout)
-        self._threads.clear()
-
-    @property
-    def running_jobs(self) -> list[Job]:
-        with self._running_lock:
-            return list(self._running.values())
-
-    # -------------------------------------------------------------- #
-    # Monitor: per-job timeouts
-    # -------------------------------------------------------------- #
-
-    def _monitor_loop(self) -> None:
-        while not self._stop.is_set():
-            now = time.time()
-            with self._running_lock:
-                running = list(self._running.values())
-            for job in running:
-                if (
-                    job.timeout is not None
-                    and job.started_at is not None
-                    and now - job.started_at > job.timeout
-                    and not job.cancel_event.is_set()
-                ):
-                    job.timed_out = True
-                    job.cancel_event.set()
-            self._stop.wait(self.monitor_interval)
+            t.start()
 
     # -------------------------------------------------------------- #
     # Workers
     # -------------------------------------------------------------- #
 
-    def _worker_loop(self) -> None:
-        while not self._stop.is_set():
-            job = self.queue.claim(timeout=0.2)
-            if job is None:
-                if self.queue.closed:
-                    return
-                continue
+    def _work(self) -> None:
+        """One worker thread: run claimed jobs until the queue closes."""
+        while (job := self.queue.claim()) is not None:
             self._run_one(job)
 
     def _run_one(self, job: Job) -> None:
-        with self._running_lock:
-            self._running[job.job_id] = job
-        job_tracer = Tracer(sink=_JobTraceSink(job, self.shared_sink), buffer=False)
+        job_tracer = Tracer(sink=_JobTraceSink(job, self._shared_sink), buffer=False)
         ctx = JobContext(job, job_tracer)
         try:
             # Closed by _end_span on every exit path below, not in this
@@ -260,9 +253,6 @@ class WorkerPool:
             )
             self.tracer.add_counter("service_jobs_failed", 1)
             self._end_span(job_tracer, job)
-        finally:
-            with self._running_lock:
-                self._running.pop(job.job_id, None)
 
     @staticmethod
     def _end_span(tracer: Tracer, job: Job, *, error: str | None = None) -> None:
@@ -274,69 +264,6 @@ class WorkerPool:
                     error=error if error is not None else job.error)
         except JobCancelled:
             pass  # flag raced the span close; the outcome is already recorded
-
-
-class DetectionService:
-    """Long-lived, embeddable community-detection service.
-
-    Composes the bounded :class:`~repro.service.jobs.JobQueue`, the
-    :class:`WorkerPool`, the versioned
-    :class:`~repro.service.store.SnapshotStore` and a service-wide tracer
-    whose cumulative counters back the ``/metrics`` endpoint.  The HTTP
-    layer (:mod:`repro.service.server`) is a thin shell over this class;
-    library users can embed it directly:
-
-    >>> with DetectionService(num_workers=2) as svc:        # doctest: +SKIP
-    ...     job = svc.submit_graph(graph)
-    ...     svc.wait(job.job_id)
-    ...     svc.membership(vertex=0)
-    """
-
-    def __init__(
-        self,
-        *,
-        num_workers: int = 2,
-        queue_capacity: int = 64,
-        store_capacity: int | None = 32,
-        num_ranks: int = 4,
-        seed: int = 0,
-        execution: str = "simulated",
-        default_timeout: float | None = None,
-        default_max_retries: int = 0,
-        sink: TraceSink | None = None,
-        runner: Runner | None = None,
-        monitor_interval: float = 0.02,
-    ) -> None:
-        if execution not in ("simulated", "process"):
-            raise ValueError(f"unknown execution mode {execution!r}")
-        self.queue = JobQueue(capacity=queue_capacity)
-        self.store = SnapshotStore(capacity=store_capacity)
-        self.num_ranks = int(num_ranks)
-        self.seed = seed
-        self.execution = execution
-        self.default_timeout = default_timeout
-        self.default_max_retries = int(default_max_retries)
-        self._shared_sink = _LockedSink(sink) if sink is not None else None
-        # Workers and submitters all bump counters on this one tracer.
-        self.tracer = Tracer(
-            sink=self._shared_sink if self._shared_sink is not None else NullSink(),
-            buffer=False,
-            threadsafe=True,
-        )
-        #: Updates serialize here so concurrent batches chain versions
-        #: deterministically instead of both warm-starting from one base.
-        self._update_lock = threading.Lock()
-        self._started_at = time.time()
-        self.pool = WorkerPool(
-            self.queue,
-            runner if runner is not None else self._run_job,
-            num_workers=num_workers,
-            tracer=self.tracer,
-            shared_sink=self._shared_sink,
-            monitor_interval=monitor_interval,
-        )
-        self.pool.start()
-        self._closed = False
 
     # -------------------------------------------------------------- #
     # Submission API
@@ -456,6 +383,9 @@ class DetectionService:
         from ..parallel import ParallelLouvainConfig, incremental_louvain
 
         with self._update_lock:
+            # The wait for another update was queue wait, not run time, and
+            # the job's deadline runs from here.
+            job.started_at = time.time()
             base_version = job.payload["base_version"]
             try:
                 base = self.store.get(base_version)
@@ -567,10 +497,10 @@ class DetectionService:
         return {
             "status": "ok" if not self._closed else "shutting_down",
             "uptime_seconds": time.time() - self._started_at,
-            "workers": self.pool.num_workers,
+            "workers": self.num_workers,
             "queue_pending": self.queue.pending_count,
             "queue_capacity": self.queue.capacity,
-            "jobs_running": len(self.pool.running_jobs),
+            "jobs_running": self.queue.running_count,
             "snapshots": len(self.store),
             "latest_version": latest,
         }
@@ -582,7 +512,7 @@ class DetectionService:
         gauges: dict[str, float] = {
             "service_queue_pending": float(self.queue.pending_count),
             "service_queue_capacity": float(self.queue.capacity),
-            "service_jobs_running": float(len(self.pool.running_jobs)),
+            "service_jobs_running": float(self.queue.running_count),
             "service_snapshots_retained": float(len(self.store)),
             "service_uptime_seconds": time.time() - self._started_at,
         }
@@ -602,7 +532,9 @@ class DetectionService:
         if self._closed:
             return
         self._closed = True
-        self.pool.stop(timeout=timeout)
+        self.queue.close()
+        for t in self._threads:
+            t.join(timeout)
         self.tracer.close()
 
     def __enter__(self) -> "DetectionService":

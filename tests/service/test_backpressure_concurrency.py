@@ -10,6 +10,7 @@ through the full server stack with workers draining concurrently.
 """
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -19,7 +20,7 @@ import pytest
 
 from repro.graph import planted_partition
 from repro.service import DetectionService, ServiceServer
-from repro.service.jobs import Job, JobQueue, QueueFullError
+from repro.service.jobs import Job, JobQueue, JobState, QueueFullError
 
 
 class TestQueueLevelRace:
@@ -78,6 +79,33 @@ class TestQueueLevelRace:
             t.join(timeout=10)
         assert len(claimed) == capacity
         assert len(set(claimed)) == capacity  # each job claimed exactly once
+
+    def test_running_count_returns_to_zero_under_race(self):
+        # Claims, retries and settles race on the running count; a lost
+        # update would leave it off zero once every job is done.
+        q = JobQueue(capacity=64)
+        jobs = [q.submit(Job(kind="detect")) for _ in range(64)]
+
+        def worker():
+            while (job := q.claim(timeout=0.2)) is not None:
+                if job.attempts == 1:
+                    q.requeue(job)
+                else:
+                    q.finalize(job, JobState.DONE, result={})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker) for _ in range(6)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [t for t in pool if t.is_alive()]
+        assert all(job.state == JobState.DONE for job in jobs)
+        assert q.running_count == 0 and q.pending_count == 0
 
 
 def _post_graph(base, edges):

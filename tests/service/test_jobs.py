@@ -12,6 +12,7 @@ from repro.service import (
     QueueClosedError,
     QueueFullError,
 )
+from repro.service.jobs import MAX_SETTLED_JOBS
 
 
 def make_job(**kwargs):
@@ -157,6 +158,42 @@ class TestJobQueue:
         q.forget(job.job_id)
         with pytest.raises(KeyError):
             q.get(job.job_id)
+
+    def test_running_count_follows_claims(self):
+        q = JobQueue(capacity=4)
+        a, b, c = (q.submit(make_job()) for _ in range(3))
+        for _ in range(3):
+            q.claim(timeout=0)
+        assert q.running_count == 3
+        q.requeue(a)  # back to pending
+        q.finalize(b, JobState.DONE, result={})
+        assert q.running_count == 1
+        q.close()
+        q.requeue(c)  # a retry racing shutdown settles the job
+        assert q.running_count == 0
+
+    def test_registry_keeps_the_newest_settled_jobs(self):
+        q = JobQueue(capacity=4)
+        running = q.submit(make_job())
+        assert q.claim(timeout=0) is running
+        pending = q.submit(make_job())
+        settled = []
+        for _ in range(MAX_SETTLED_JOBS + 2):
+            job = q.submit(make_job())
+            q.cancel(job.job_id)
+            settled.append(job)
+        for job in settled[:2]:  # the oldest settled jobs are gone
+            with pytest.raises(KeyError):
+                q.get(job.job_id)
+            with pytest.raises(KeyError):
+                q.cancel(job.job_id)
+        assert all(q.get(job.job_id) is job for job in settled[2:])
+        # Live jobs are never dropped; settling one drops the next oldest.
+        assert q.get(pending.job_id) is pending
+        q.finalize(running, JobState.DONE, result={})
+        assert q.get(running.job_id) is running
+        with pytest.raises(KeyError):
+            q.get(settled[2].job_id)
 
     def test_close_cancels_pending_and_rejects_submits(self):
         q = JobQueue(capacity=4)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.graph import planted_partition
 from repro.service import DetectionService, ServiceServer
+from repro.service.jobs import MAX_SETTLED_JOBS
 
 
 def _request(base, method, path, body=None):
@@ -133,13 +134,13 @@ class TestRoutes:
         base = server.address
         release = threading.Event()
         # Jam the 2 workers so the next job stays pending and cancellable.
-        original = server.service.pool.runner
+        original = server.service.runner
 
         def blocking(job, ctx):
             release.wait(10)
             return original(job, ctx)
 
-        server.service.pool.runner = blocking
+        server.service.runner = blocking
         try:
             held = [
                 _request(base, "POST", "/graph", {"edges": edges})[1]["job_id"]
@@ -153,7 +154,7 @@ class TestRoutes:
             assert cancelled["state"] == "cancelled"
         finally:
             release.set()
-            server.service.pool.runner = original
+            server.service.runner = original
             for job_id in held:
                 _poll_done(base, job_id)
 
@@ -202,7 +203,7 @@ class TestBackpressureAndLiveness:
             first = _request(base, "POST", "/graph", {"edges": edges})
             assert first[0] == 202
             deadline = time.monotonic() + 5
-            while not svc.pool.running_jobs:  # worker picked the job up
+            while not svc.queue.running_count:  # worker picked the job up
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             assert _request(base, "POST", "/graph", {"edges": edges})[0] == 202
@@ -299,5 +300,28 @@ def test_submissions_after_close_get_503(edges):
         status, doc, _ = _request(srv.address, "POST", "/graph", {"edges": edges})
         assert status == 503
         assert "closed" in doc["error"]
+    finally:
+        srv.stop()
+
+
+def test_forgotten_jobs_answer_404():
+    # The registry keeps the newest MAX_SETTLED_JOBS settled jobs; an older
+    # id answers like one that never existed.
+    svc = DetectionService(num_workers=1, runner=lambda job, ctx: {})
+    srv = ServiceServer(svc, port=0)
+    srv.serve_background()
+    try:
+        graph, _ = planted_partition(2, 4, 0.5, 0.1, seed=0)
+        ids = [
+            svc.wait(svc.submit_graph(graph).job_id).job_id
+            for _ in range(MAX_SETTLED_JOBS + 2)
+        ]
+        for job_id in ids[:2]:
+            with pytest.raises(KeyError):
+                svc.job(job_id)
+            assert _request(srv.address, "GET", f"/jobs/{job_id}")[0] == 404
+            assert _request(srv.address, "DELETE", f"/jobs/{job_id}")[0] == 404
+        status, doc, _ = _request(srv.address, "GET", f"/jobs/{ids[2]}")
+        assert status == 200 and doc["state"] == "done"
     finally:
         srv.stop()

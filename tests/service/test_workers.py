@@ -122,7 +122,7 @@ class TestCancellation:
 
 class TestTimeout:
     def test_per_job_timeout_fails_the_job(self, graph):
-        svc, release, entered = blocking_service(monitor_interval=0.01)
+        svc, release, entered = blocking_service()
         try:
             job = svc.submit_graph(graph, timeout=0.1)
             assert entered.wait(5)
@@ -135,7 +135,7 @@ class TestTimeout:
             svc.close()
 
     def test_timeout_is_not_retried(self, graph):
-        svc, release, entered = blocking_service(monitor_interval=0.01)
+        svc, release, entered = blocking_service()
         try:
             job = svc.submit_graph(graph, timeout=0.1, max_retries=3)
             job = svc.wait(job.job_id, timeout=10)
@@ -144,6 +144,22 @@ class TestTimeout:
         finally:
             release.set()
             svc.close()
+
+    def test_timeout_interrupts_real_detection_run(self):
+        # No thread watches the clock: the deadline trips at the next event
+        # the run emits.  The hash plane takes seconds on this graph, far
+        # past the deadline.
+        big, _ = planted_partition(40, 100, 0.2, 0.005, seed=9)
+        sink = ListSink()
+        with DetectionService(num_workers=1, sink=sink) as svc:
+            job = svc.submit_graph(big, timeout=0.25, backend="hash")
+            job = svc.wait(job.job_id, timeout=30)
+            assert job.state == JobState.FAILED
+            assert "timed out after 0.25s" in job.error
+            assert job.timed_out
+            assert svc.store.latest_version() is None  # nothing published
+        kinds = [e.kind for e in sink.events if e.data.get("job_id") == job.job_id]
+        assert "run_start" in kinds and "run_end" not in kinds  # stopped mid-run
 
     def test_fast_job_beats_its_timeout(self, graph):
         svc = DetectionService(num_workers=1)
@@ -164,7 +180,7 @@ class TestRetries:
             raise TransientJobError(f"flaky #{len(calls)}")
 
         svc = DetectionService(
-            num_workers=1, runner=runner, monitor_interval=0.01
+            num_workers=1, runner=runner
         )
         try:
             g, _ = planted_partition(2, 4, 0.5, 0.1, seed=0)
@@ -366,6 +382,23 @@ class TestDetectionAndUpdates:
             assert j2.result["base_version"] == 2
             assert svc.store.latest_version() == 3
 
+    def test_update_waiting_for_another_counts_as_queue_wait(self, graph):
+        # Two workers claim both updates at once; the one that waits for
+        # the other's lock starts only when it holds the lock.
+        with DetectionService(num_workers=2) as svc:
+            svc.wait(svc.submit_graph(graph).job_id, timeout=60)
+            jobs = [
+                svc.submit_edge_batch(
+                    EdgeBatch(add_src=np.array([i]), add_dst=np.array([i + 7]))
+                )
+                for i in range(2)
+            ]
+            jobs = [svc.wait(job.job_id, timeout=60) for job in jobs]
+        assert [job.state for job in jobs] == [JobState.DONE] * 2
+        first, second = sorted(jobs, key=lambda job: job.result["version"])
+        assert second.result["base_version"] == first.result["version"]
+        assert second.started_at >= first.finished_at
+
     def test_update_before_any_snapshot_retries_then_fails(self):
         with DetectionService(num_workers=1) as svc:
             batch = EdgeBatch(add_src=np.array([0]), add_dst=np.array([1]))
@@ -437,6 +470,14 @@ class TestTracingAndMetrics:
         finally:
             release.set()
             svc.close()
+
+    def test_workers_are_the_only_threads(self):
+        before = set(threading.enumerate())
+        svc = DetectionService(num_workers=3)
+        added = set(threading.enumerate()) - before
+        svc.close()
+        assert len(added) == 3
+        assert not [t for t in added if t.is_alive()]
 
     def test_close_is_idempotent(self, graph):
         svc = DetectionService(num_workers=1)
