@@ -1,10 +1,13 @@
-"""Table III -- quality comparison on community structure.
+"""Table III and Fig. 5 -- quality comparison on community structure.
 
 NMI / F-measure / NVD / RI / ARI / JI between the sequential and parallel
-partitions on Amazon, ND-Web and LFR(mu=0.4 / 0.5), at full proxy scale.
+partitions on Amazon, ND-Web and LFR(mu=0.4 / 0.5), at full proxy scale,
+and the two partitions' community-size distributions (log-binned
+histograms + largest community).
 
-Runs ``matrices/table3_quality.toml`` through the projection that ``repro
-experiment table3`` prints, and asserts the paper's claims.
+Runs ``matrices/table3_quality.toml`` once, through the projections that
+``repro experiment table3`` and ``repro experiment fig5`` print, and
+asserts the paper's claims.
 """
 
 from conftest import once
@@ -12,17 +15,18 @@ from conftest import once
 from repro.harness import experiments as hx
 
 
-def _run_reports() -> dict:
-    return hx.table3_reports(
-        hx.run_matrix_file("table3_quality.toml", keep_membership=True)
-    )
+def _run_matrix():
+    return hx.run_matrix_file("table3_quality.toml", keep_membership=True)
 
 
-def test_table3_partition_similarity(benchmark):
-    by_name = once(benchmark, _run_reports)
+def test_table3_partition_similarity_and_fig5_sizes(benchmark):
+    matrix = once(benchmark, _run_matrix)
+    by_name = hx.table3_reports(matrix)
+    rows = hx.fig5_rows(matrix)
 
     print()
     print(hx.format_table3(by_name))
+    print(hx.format_fig5(rows))
 
     # Paper shape: NVD close to 0 and the rest close to 1, strongest on the
     # structured graphs.  Proxy scale loosens the absolute numbers (see
@@ -38,3 +42,15 @@ def test_table3_partition_similarity(benchmark):
     assert by_name["LFR(mu=0.4)"].nmi >= by_name["LFR(mu=0.5)"].nmi - 0.05
     # Strongly structured graphs agree more (paper: ND-Web > Amazon).
     assert by_name["ND-Web"].nmi > 0.75
+
+    for r in rows:
+        # Paper: largest communities 358-vs-278 (Amazon) and 5020-vs-5286
+        # (ND-Web): same magnitude, not identical.
+        ratio = r.par_largest / r.seq_largest
+        assert 1 / 3 < ratio < 3, r.graph
+        # Both distributions have many small communities and few large ones.
+        assert r.seq_counts[: len(r.seq_counts) // 2].sum() >= 0
+        assert r.seq_counts.sum() > 10, "degenerate partition"
+        assert r.par_counts.sum() > 10, "degenerate partition"
+        # Similar overall community counts (same order of magnitude).
+        assert 1 / 3 < r.par_counts.sum() / r.seq_counts.sum() < 3, r.graph

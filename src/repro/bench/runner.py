@@ -154,32 +154,15 @@ def _build_graph(spec: dict[str, Any], cache: dict[str, Any]):
     key = json.dumps(spec, sort_keys=True, default=str)
     if key in cache:
         return cache[key]
-    params = {k: v for k, v in spec.items() if k not in ("family", "seed")}
+    from ..generators import GRAPH_FAMILIES, build_graph
+
     family = spec.get("family")
-    seed = int(spec.get("seed", 0))
-    if family == "lfr":
-        from ..generators import LFRParams, generate_lfr
-
-        graph = generate_lfr(LFRParams(**params), seed=seed).graph
-    elif family == "rmat":
-        from ..generators import RMATParams, generate_rmat
-
-        graph = generate_rmat(RMATParams(**params), seed=seed)
-    elif family == "bter":
-        from ..generators import BTERParams, generate_bter
-
-        graph = generate_bter(BTERParams(**params), seed=seed).graph
-    elif family == "social":
-        from ..generators import load_social_graph
-
-        graph = load_social_graph(
-            params["name"], seed=seed, scale=float(params.get("scale", 1.0))
-        ).graph
-    else:
+    if family not in GRAPH_FAMILIES:
         raise BenchConfigError(
-            f"unknown graph family {family!r} (use lfr/rmat/bter/social)"
+            f"unknown graph family {family!r} (use {'/'.join(GRAPH_FAMILIES)})"
         )
-    cache[key] = graph
+    params = {k: v for k, v in spec.items() if k not in ("family", "seed")}
+    graph = cache[key] = build_graph(family, params, seed=int(spec.get("seed", 0)))
     return graph
 
 

@@ -129,9 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument(
         "--scale", type=float, default=None,
-        help="proxy size multiplier for table1/fig2/fig5/fig6/table4 "
-        "(default 0.5; 1.0 = full laptop scale); fig4/fig7/fig8/fig9/table3 "
-        "run their checked-in benchmark matrix at its own sizes",
+        help="proxy size multiplier for table1/fig2/fig6 (default 0.5; 1.0 = "
+        "full laptop scale); the other ids run their checked-in benchmark "
+        "matrix at its own sizes",
     )
 
     rep = sub.add_parser(
@@ -631,7 +631,15 @@ def _cmd_detect(args) -> int:
                 f"wrote {args.trace} ({sink.num_events} events, jsonl, streamed)"
             )
         else:
-            export_trace(tracer.events, args.trace, args.trace_format, machine=machine)
+            # Only the rank runtimes keep a profiler; the Chrome export's
+            # modeled track reads it.
+            export_trace(
+                tracer.events, args.trace, args.trace_format, machine=machine,
+                profiler=(
+                    raw.simulation.profiler
+                    if args.algorithm in ("parallel", "naive") else None
+                ),
+            )
             print(
                 f"wrote {args.trace} ({len(tracer.events)} events, "
                 f"{args.trace_format})"
@@ -770,9 +778,6 @@ def _cmd_experiment(args) -> int:
         print(hx.format_series(
             "eq7", list(range(1, len(res.predicted) + 1)), res.predicted
         ))
-    elif args.id == "fig5":
-        for r in hx.run_fig5(scale=scale):
-            print(f"{r.graph}: largest seq={r.seq_largest} par={r.par_largest}")
     elif args.id == "fig6":
         res = hx.run_fig6(rmat_scale=max(12, int(17 * scale)))
         for h in res.hash_names:
@@ -780,10 +785,6 @@ def _cmd_experiment(args) -> int:
                 f"{h}: avg bin {res.avg_bin[h].mean():.2f}, "
                 f"max bin {res.max_bin[h].max()}"
             )
-    elif args.id == "table4":
-        res = hx.run_table4(nodes=64, scale=scale)
-        print(f"modeled UK-2007: {res.our_time_s:.1f}s, Q={res.our_modularity:.3f}")
-        print(f"({res.note})")
     return 0
 
 

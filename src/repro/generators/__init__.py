@@ -1,6 +1,7 @@
 """Synthetic graph generators: LFR, R-MAT, BTER and real-world proxies."""
 
 from .bter import BTERGraph, BTERParams, calibrate_rho, generate_bter
+from .families import GRAPH_FAMILIES, build_graph
 from .lfr import LFRGraph, LFRParams, generate_lfr
 from .powerlaw import (
     expected_powerlaw_mean,
@@ -33,4 +34,6 @@ __all__ = [
     "sample_powerlaw",
     "powerlaw_degrees_with_mean",
     "expected_powerlaw_mean",
+    "GRAPH_FAMILIES",
+    "build_graph",
 ]

@@ -1,10 +1,11 @@
 """Paper tables and figures (see DESIGN.md §4).
 
-Table I, Figs. 2, 5, 6 and Table IV have a runner here.  Figs. 4, 7, 8, 9
-and Table III have one source each, a matrix in ``benchmarks/matrices/``;
-``repro experiment`` (:func:`render_figure`) and the bench wrappers print it
-through the same projection, which takes its graph and curve names from the
-matrix (so tests feed it small in-memory ones).
+Table I, Figs. 2 and 6 have a runner here.  Every other figure and table
+has one source, a matrix in ``benchmarks/matrices/``; ``repro experiment``
+(:func:`render_figure`) and the bench wrappers print it through the same
+projection, which takes its graph and curve names from the matrix (so tests
+feed it small in-memory ones).  Fig. 5 and Table III project one matrix's
+partitions, and Table IV is the largest-``nodes`` cell of Fig. 8's sweep.
 """
 
 from __future__ import annotations
@@ -33,12 +34,8 @@ from ..metrics import (
     evolution_ratio,
     log_binned_size_distribution,
 )
-from ..parallel import (
-    ModuloPartition,
-    fit_schedule,
-    parallel_louvain,
-)
-from ..runtime import P7IH, MachineModel, model_times, total_time
+from ..parallel import ModuloPartition, fit_schedule
+from ..runtime import P7IH, MachineModel, model_times
 from ..sequential import louvain as sequential_louvain
 from .tables import format_series, format_table
 
@@ -47,7 +44,8 @@ __all__ = [
     "run_fig2",
     "fig4_rows",
     "format_fig4",
-    "run_fig5",
+    "fig5_rows",
+    "format_fig5",
     "table3_reports",
     "format_table3",
     "run_fig6",
@@ -57,7 +55,8 @@ __all__ = [
     "fig8_iteration_breakdown",
     "fig8_breakdowns",
     "format_fig8",
-    "run_table4",
+    "table4_result",
+    "format_table4",
     "weak_curves",
     "strong_curves",
     "format_fig9a",
@@ -264,49 +263,7 @@ def format_fig4(rows: list[Fig4Row]) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Fig. 5 -- community-size distributions
-# --------------------------------------------------------------------- #
-
-
-@dataclass
-class Fig5Row:
-    graph: str
-    seq_largest: int
-    par_largest: int
-    seq_bins: np.ndarray
-    seq_counts: np.ndarray
-    par_bins: np.ndarray
-    par_counts: np.ndarray
-
-
-def run_fig5(
-    graphs: list[str] | None = None,
-    *,
-    num_ranks: int = 8,
-    seed: int = 0,
-    scale: float = 1.0,
-) -> list[Fig5Row]:
-    graphs = graphs or ["Amazon", "ND-Web"]
-    rows = []
-    for name in graphs:
-        g = load_social_graph(name, seed=seed, scale=scale).graph
-        seq = sequential_louvain(g, seed=seed)
-        par = parallel_louvain(g, num_ranks=num_ranks)
-        sb, sc = log_binned_size_distribution(seq.membership)
-        pb, pc = log_binned_size_distribution(par.membership)
-        rows.append(
-            Fig5Row(
-                graph=name,
-                seq_largest=int(community_sizes(seq.membership)[0]),
-                par_largest=int(community_sizes(par.membership)[0]),
-                seq_bins=sb, seq_counts=sc, par_bins=pb, par_counts=pc,
-            )
-        )
-    return rows
-
-
-# --------------------------------------------------------------------- #
-# Table III -- similarity of parallel vs sequential partitions
+# Fig. 5 and Table III -- sequential vs parallel partitions, one matrix
 # --------------------------------------------------------------------- #
 
 
@@ -319,18 +276,66 @@ TABLE3_LABELS = {
 }
 
 
-def table3_reports(matrix: MatrixResult) -> dict[str, SimilarityReport]:
-    """Row label -> sequential-vs-parallel similarity, from a (graph x
+def _partition_pairs(matrix: MatrixResult) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Row label -> (sequential, parallel) final membership, from a (graph x
     variant) matrix run with ``keep_membership=True``."""
     memberships = {
         (c.cell.factors["graph"], c.cell.factors["variant"]): c.timed[0].membership
         for c in matrix.cells
     }
     return {
-        TABLE3_LABELS.get(graph, graph): compare_partitions(
+        TABLE3_LABELS.get(graph, graph): (
             memberships[(graph, "sequential")], memberships[(graph, "parallel")]
         )
         for graph in _factor_values(matrix, "graph")
+    }
+
+
+@dataclass
+class Fig5Row:
+    graph: str
+    seq_largest: int
+    par_largest: int
+    #: Upper bin edges both partitions are counted under.
+    bins: np.ndarray
+    seq_counts: np.ndarray
+    par_counts: np.ndarray
+
+
+def fig5_rows(matrix: MatrixResult) -> list[Fig5Row]:
+    """Per graph, the sequential and parallel community-size histograms on
+    one set of log bins (the one that covers both largest communities)."""
+    rows = []
+    for label, (seq, par) in _partition_pairs(matrix).items():
+        seq_largest = int(community_sizes(seq)[0])
+        par_largest = int(community_sizes(par)[0])
+        top = max(seq_largest, par_largest)
+        bins, seq_counts = log_binned_size_distribution(seq, top=top)
+        _, par_counts = log_binned_size_distribution(par, top=top)
+        rows.append(Fig5Row(
+            label, seq_largest, par_largest, bins, seq_counts, par_counts
+        ))
+    return rows
+
+
+def format_fig5(rows: list[Fig5Row]) -> str:
+    fmt = lambda xs: " ".join(f"{int(x):>6d}" for x in xs)  # noqa: E731
+    lines = ["Fig. 5: community size distribution (log-binned)"]
+    for r in rows:
+        lines += [
+            f"  {r.graph}: largest community seq={r.seq_largest} par={r.par_largest}",
+            "    size<=   " + fmt(r.bins),
+            "    seq count" + fmt(r.seq_counts),
+            "    par count" + fmt(r.par_counts),
+        ]
+    return "\n".join(lines)
+
+
+def table3_reports(matrix: MatrixResult) -> dict[str, SimilarityReport]:
+    """Row label -> sequential-vs-parallel similarity."""
+    return {
+        label: compare_partitions(seq, par)
+        for label, (seq, par) in _partition_pairs(matrix).items()
     }
 
 
@@ -608,26 +613,39 @@ class Table4Result:
     note: str
 
 
-def run_table4(
-    *, nodes: int = 128, machine: MachineModel = P7IH, seed: int = 0, scale: float = 1.0
-) -> Table4Result:
-    g = load_social_graph("UK-2007", seed=seed, scale=scale).graph
-    ws = paper_work_scale("UK-2007", g.num_edges)
-    result = parallel_louvain(g, num_ranks=nodes)
-    secs = total_time(
-        result.simulation.profiler.phases, machine,
-        threads=machine.threads_per_node, nodes=nodes, work_scale=ws,
-    )
+def table4_result(matrix: MatrixResult) -> Table4Result:
+    """Our Table IV row: the largest-``nodes`` cell of the Fig. 8 sweep."""
+    cell = max(matrix.cells, key=lambda c: int(c.cell.params["nodes"]))
+    rep, nodes = cell.timed[0], int(cell.cell.params["nodes"])
+    ws = 1.0 if rep.work_scale is None else rep.work_scale
     return Table4Result(
         literature=UK2007_LITERATURE,
-        our_time_s=secs,
-        our_modularity=result.final_modularity,
+        our_time_s=rep.modeled_s,
+        our_modularity=rep.modularity,
         nodes=nodes,
         note=(
-            f"proxy {g.num_edges} edges on {nodes} simulated nodes; per-rank "
-            f"work extrapolated x{ws:.0f} to the real dataset size"
+            f"{cell.cell.params['graph']} proxy on {nodes} simulated nodes; "
+            f"per-rank work extrapolated x{ws:.0f} to the real dataset size"
         ),
     )
+
+
+def format_table4(res: Table4Result) -> str:
+    rows = [
+        [lit["reference"], f"{lit['time_s']:.1f}",
+         lit["modularity"] if lit["modularity"] is not None else "N/A",
+         lit["processors"]]
+        for lit in res.literature
+    ]
+    rows.append(
+        ["This reproduction (modeled)", f"{res.our_time_s:.1f}",
+         f"{res.our_modularity:.3f}", f"{res.nodes} simulated P7-IH nodes"]
+    )
+    return format_table(
+        ["Reference", "Time (s)", "Modularity", "Processors"],
+        rows,
+        title="Table IV: UK-2007 performance vs the literature",
+    ) + f"\n  note: {res.note}"
 
 
 # --------------------------------------------------------------------- #
@@ -701,9 +719,11 @@ MATRIX_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "matrices"
 #: ``repro experiment`` id -> the matrix files it runs, in print order.
 FIGURE_MATRICES: dict[str, tuple[str, ...]] = {
     "fig4": ("fig4_convergence.toml",),
+    "fig5": ("table3_quality.toml",),
     "table3": ("table3_quality.toml",),
     "fig7": ("fig7a_threads.toml", "fig7bc_nodes.toml"),
     "fig8": ("fig8_breakdown.toml",),
+    "table4": ("fig8_breakdown.toml",),
     "fig9": ("fig9a_weak.toml", "fig9bc_strong.toml"),
 }
 
@@ -723,6 +743,9 @@ def render_figure(figure: str) -> str:
     if figure == "fig4":
         matrix = run_matrix_file("fig4_convergence.toml", keep_raw=True)
         return format_fig4(fig4_rows(matrix))
+    if figure == "fig5":
+        matrix = run_matrix_file("table3_quality.toml", keep_membership=True)
+        return format_fig5(fig5_rows(matrix))
     if figure == "table3":
         matrix = run_matrix_file("table3_quality.toml", keep_membership=True)
         return format_table3(table3_reports(matrix))
@@ -734,6 +757,8 @@ def render_figure(figure: str) -> str:
     if figure == "fig8":
         matrix = run_matrix_file("fig8_breakdown.toml", keep_raw=True)
         return format_fig8(fig8_breakdowns(matrix))
+    if figure == "table4":
+        return format_table4(table4_result(run_matrix_file("fig8_breakdown.toml")))
     if figure == "fig9":
         weak, strong = FIGURE_MATRICES["fig9"]
         return (

@@ -37,17 +37,19 @@ def size_histogram(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def log_binned_size_distribution(
-    labels: np.ndarray, *, num_bins: int = 16
+    labels: np.ndarray, *, num_bins: int = 16, top: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Histogram of community sizes over logarithmic bins (Fig. 5 style).
 
     Returns ``(bin_upper_edges, counts)``; bin ``i`` covers sizes in
-    ``(edges[i-1], edges[i]]``.
+    ``(edges[i-1], edges[i]]``.  The edges reach ``top`` or the largest
+    community, whichever is larger, so partitions binned with the same
+    ``top``, no smaller than any of their largest communities, share edges.
     """
     sizes = community_sizes(labels)
     if sizes.size == 0:
         return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-    top = max(2.0, float(sizes.max()))
+    top = max(2.0, float(sizes.max()), top or 0.0)
     edges = np.unique(np.ceil(np.logspace(0, np.log10(top), num_bins)))
     counts = np.zeros(edges.size, dtype=np.int64)
     idx = np.searchsorted(edges, sizes, side="left")

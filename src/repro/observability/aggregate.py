@@ -1,12 +1,14 @@
 """Stream aggregation helpers shared by reports, exporters and the bench harness.
 
 A recorded trace is a flat event stream; every consumer (``repro report``,
-``repro bench``, the Chrome exporter's modeled clock domain) needs the same
-handful of projections over it: wall seconds per phase span, communication
-volumes per superstep phase, iteration counts per level, and the run's
-header/footer facts.  Implementing them once keeps the event vocabulary's
-interpretation in one place -- a new consumer reads aggregates, not raw
-events.
+``repro bench``, the golden-trace fingerprints, the Prometheus snapshot)
+needs the same handful of projections over it: wall seconds per phase span,
+communication volumes per superstep phase, iteration counts per level, and
+the run's header/footer facts.  Implementing them once keeps the event
+vocabulary's interpretation in one place -- a new consumer reads
+aggregates, not raw events.  Modeled machine time is not among them: its
+counters live in the run's profiler, and the Chrome export's modeled track
+reads them there.
 
 All functions accept any iterable of :class:`TraceEvent` and are single-pass.
 """

@@ -10,12 +10,12 @@ stream:
   land on tid 0; when a ``span_end`` carries per-rank ``comp_ops`` deltas the
   span is mirrored onto each simulated rank's track (tid = rank + 1) with that
   rank's work in ``args``, so load imbalance is visible per lane.  Iteration
-  events become instants, modularity a counter track.  With a
-  :class:`~repro.runtime.machine.MachineModel`, a second process track ("pid
-  1: modeled <machine>") replays the same span tree on the *modeled* clock --
-  each span's extent is the machine model's predicted seconds for the work and
-  traffic recorded inside it -- so simulated and real time line up in one
-  timeline.
+  events become instants, modularity a counter track.  Given a
+  :class:`~repro.runtime.machine.MachineModel` and the run's
+  :class:`~repro.runtime.profiler.PhaseProfiler`, a second process track
+  ("pid 1: modeled <machine>") lays the profiler's scopes end to end on the
+  *modeled* clock, so simulated and real time line up in one timeline.  The
+  track reads the profiler, the run's one counter source, not the events.
 * **Prometheus** renders an end-of-run text snapshot (``# HELP`` / ``# TYPE``
   + samples) suitable for a textfile-collector scrape.
 """
@@ -28,10 +28,12 @@ import threading
 import time
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
+from .aggregate import aggregate_phases, iteration_counts, run_facts, superstep_volumes
 from .events import EventKind, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.machine import MachineModel
+    from ..runtime.profiler import PhaseProfiler
 
 __all__ = [
     "TRACE_FORMATS",
@@ -127,8 +129,7 @@ def chrome_trace(
     events: Sequence[TraceEvent],
     *,
     machine: "MachineModel | None" = None,
-    threads: int | None = None,
-    nodes: int | None = None,
+    profiler: "PhaseProfiler | None" = None,
 ) -> dict:
     """Project the event stream onto the Chrome ``trace_event`` JSON object.
 
@@ -137,13 +138,15 @@ def chrome_trace(
     the trace_event format: every entry carries ``name``/``ph``/``ts``/``pid``
     /``tid`` and "X" entries carry ``dur``.
 
-    With ``machine`` the same span tree is replayed on a second process track
-    (pid 1) in *modeled machine seconds*: each span's extent is the machine
-    model applied to the per-rank work (``comp_ops`` on span_end) and traffic
-    (``superstep`` events inside the span) recorded for exactly that phase.
-    Collectives are not individually traced, so their sync cost is absent
-    from this clock -- the track shows the compute/traffic-dominated shape,
-    not the full Fig. 8 total.
+    With ``machine`` and the run's ``profiler``, a second process track
+    (pid 1) lays the profiler's scopes end to end on the *modeled* clock:
+    one complete event per ``(level, iteration, phase)`` scope with anything
+    charged, in the profiler's scope order, lasting
+    :func:`~repro.runtime.machine.model_phase_time` of its counters -- the
+    inputs Fig. 8's breakdowns read, merged from every worker in process
+    mode.  Each scope waits for its own slowest rank, so the track is longer
+    than the run's modeled total, which folds each phase's scopes before it
+    takes the per-rank maximum.
     """
     out: list[dict] = []
     pid = 0
@@ -215,39 +218,16 @@ def chrome_trace(
 
     for rank in sorted(ranks_seen):
         out.insert(1, meta(rank + 1, f"rank {rank}"))
-    if machine is not None:
-        out.extend(_modeled_clock_events(events, machine, threads=threads, nodes=nodes))
+    if machine is not None and profiler is not None:
+        out.extend(_modeled_clock_events(profiler, machine))
     return {"traceEvents": out, "displayTimeUnit": "ms"}
 
 
 def _modeled_clock_events(
-    events: Sequence[TraceEvent],
-    machine: "MachineModel",
-    *,
-    threads: int | None = None,
-    nodes: int | None = None,
+    profiler: "PhaseProfiler", machine: "MachineModel"
 ) -> list[dict]:
-    """Second clock domain: the span tree replayed in modeled machine seconds.
-
-    A modeled-time cursor advances only when a span closes, by the machine
-    model's prediction for the counters charged to exactly that span: per-rank
-    ``comp_ops`` deltas from its span_end, and records / bytes / messages from
-    the ``superstep`` events that fired while it was the innermost open span.
-    Children advance the cursor between a parent's B and E, so nesting and
-    relative phase widths survive the clock change.
-    """
-    import numpy as np
-
+    """The pid-1 track: each profiler scope's modeled seconds, end to end."""
     from ..runtime.machine import model_phase_time
-    from ..runtime.profiler import PhaseCounters
-
-    num_ranks = 1
-    for ev in events:
-        if ev.kind == EventKind.RUN_START:
-            ranks = ev.data.get("num_ranks")
-            if ranks:
-                num_ranks = int(ranks)
-            break
 
     pid = 1
     out: list[dict] = [
@@ -260,58 +240,17 @@ def _modeled_clock_events(
             "ts": 0, "args": {"name": "modeled phases"},
         },
     ]
-
-    def _distribute(total: float, per_rank: list | None) -> np.ndarray:
-        weights = (
-            np.asarray(per_rank, dtype=np.float64)
-            if per_rank
-            else np.ones(num_ranks)
-        )
-        if weights.size != num_ranks:
-            weights = np.resize(weights, num_ranks)
-        if weights.sum() <= 0:
-            weights = np.ones(num_ranks)
-        return total * weights / weights.sum()
-
     cursor = 0.0
-    stack: list[tuple[str, float, PhaseCounters]] = []
-
-    def _close(ev_name: str, comp_ops: list | None) -> None:
-        nonlocal cursor
-        name, start, counters = stack.pop()
-        if comp_ops:
-            ops = np.asarray(comp_ops, dtype=np.float64)
-            counters.comp_ops[: ops.size] += ops[:num_ranks]
-        exclusive = model_phase_time(counters, machine, threads=threads, nodes=nodes)
-        cursor += exclusive
+    for (level, iteration, phase), counters in profiler.scopes.items():
+        secs = model_phase_time(counters, machine)
+        if secs <= 0.0:
+            continue
         out.append({
-            "name": ev_name or name, "cat": "modeled", "ph": "E",
-            "ts": cursor * _US, "pid": pid, "tid": 0,
-            "args": {"modeled_exclusive_s": exclusive},
+            "name": phase, "cat": "modeled", "ph": "X",
+            "ts": cursor * _US, "dur": secs * _US, "pid": pid, "tid": 0,
+            "args": {"level": level, "iteration": iteration, "modeled_s": secs},
         })
-
-    for ev in events:
-        if ev.kind == EventKind.SPAN_BEGIN:
-            stack.append((ev.name, cursor, PhaseCounters(num_ranks=num_ranks)))
-            out.append({
-                "name": ev.name, "cat": "modeled", "ph": "B",
-                "ts": cursor * _US, "pid": pid, "tid": 0, "args": {},
-            })
-        elif ev.kind == EventKind.SUPERSTEP and stack:
-            counters = stack[-1][2]
-            per_rank = ev.data.get("per_rank_records")
-            counters.records_sent += _distribute(
-                float(ev.data.get("records", 0)), per_rank
-            )
-            counters.bytes_sent += _distribute(float(ev.data.get("bytes", 0)), per_rank)
-            counters.messages_sent += _distribute(
-                float(ev.data.get("messages", 0)), per_rank
-            )
-            counters.supersteps += 1
-        elif ev.kind == EventKind.SPAN_END and stack:
-            _close(ev.name, ev.data.get("comp_ops"))
-    while stack:  # truncated trace: close what is still open
-        _close(stack[-1][0], None)
+        cursor += secs
     return out
 
 
@@ -320,13 +259,10 @@ def write_chrome_trace(
     path: str,
     *,
     machine: "MachineModel | None" = None,
-    threads: int | None = None,
-    nodes: int | None = None,
+    profiler: "PhaseProfiler | None" = None,
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            chrome_trace(events, machine=machine, threads=threads, nodes=nodes), fh
-        )
+        json.dump(chrome_trace(events, machine=machine, profiler=profiler), fh)
 
 
 # --------------------------------------------------------------------- #
@@ -353,61 +289,48 @@ def prometheus_snapshot(events: Sequence[TraceEvent]) -> str:
         for labels, value in samples:
             lines.append(f"{name}{_prom_labels(labels)} {value:g}")
 
-    run_q = None
-    run_levels = None
-    iters_per_level: dict[int, int] = {}
+    facts = run_facts(events)
     movers_per_level: dict[int, int] = {}
     level_q: dict[int, float] = {}
-    phase_records: dict[str, float] = {}
-    phase_supersteps: dict[str, int] = {}
-    phase_wall: dict[str, float] = {}
     table_load: dict[tuple[int, str], float] = {}
     table_probes: dict[tuple[int, str], float] = {}
 
     for ev in events:
-        if ev.kind == EventKind.RUN_END:
-            run_q = ev.data.get("modularity")
-            run_levels = ev.data.get("num_levels")
-        elif ev.kind == EventKind.ITERATION:
+        if ev.kind == EventKind.ITERATION:
             lvl = int(ev.data["level"])
-            iters_per_level[lvl] = iters_per_level.get(lvl, 0) + 1
             movers_per_level[lvl] = movers_per_level.get(lvl, 0) + int(ev.data["movers"])
         elif ev.kind == EventKind.LEVEL_END:
             level_q[int(ev.data["level"])] = float(ev.data["modularity"])
-        elif ev.kind == EventKind.SUPERSTEP:
-            phase_records[ev.name] = phase_records.get(ev.name, 0.0) + ev.data["records"]
-            phase_supersteps[ev.name] = phase_supersteps.get(ev.name, 0) + 1
-        elif ev.kind == EventKind.SPAN_END:
-            phase_wall[ev.name] = phase_wall.get(ev.name, 0.0) + float(
-                ev.data.get("duration", 0.0)
-            )
         elif ev.kind == EventKind.TABLE_STATS and ev.rank is not None:
             key = (ev.rank, str(ev.data.get("table", ev.name)))
             table_load[key] = float(ev.data.get("load_factor", 0.0))
             table_probes[key] = float(ev.data.get("probes_per_insert", 0.0))
+    volumes = sorted(superstep_volumes(events).items())
 
-    if run_q is not None:
+    if facts.modularity is not None:
         metric("repro_run_modularity", "gauge",
-               "Final modularity of the run", [({}, float(run_q))])
-    if run_levels is not None:
+               "Final modularity of the run", [({}, facts.modularity)])
+    if facts.num_levels is not None:
         metric("repro_run_levels", "gauge",
-               "Number of hierarchy levels", [({}, float(run_levels))])
+               "Number of hierarchy levels", [({}, float(facts.num_levels))])
     metric("repro_level_modularity", "gauge", "Modularity after each level",
            [({"level": lvl}, q) for lvl, q in sorted(level_q.items())])
     metric("repro_iterations_total", "counter", "Inner iterations per level",
-           [({"level": lvl}, float(n)) for lvl, n in sorted(iters_per_level.items())])
+           [({"level": lvl}, float(n))
+            for lvl, n in sorted(iteration_counts(events).items())])
     metric("repro_vertex_migrations_total", "counter",
            "Vertices migrated per level",
            [({"level": lvl}, float(n)) for lvl, n in sorted(movers_per_level.items())])
     metric("repro_records_sent_total", "counter",
            "Records exchanged per phase",
-           [({"phase": p}, v) for p, v in sorted(phase_records.items())])
+           [({"phase": p}, float(v.records)) for p, v in volumes])
     metric("repro_supersteps_total", "counter",
            "Bus supersteps per phase",
-           [({"phase": p}, float(v)) for p, v in sorted(phase_supersteps.items())])
+           [({"phase": p}, float(v.supersteps)) for p, v in volumes])
     metric("repro_phase_wall_seconds_total", "counter",
            "Wall-clock seconds per phase span",
-           [({"phase": p}, v) for p, v in sorted(phase_wall.items())])
+           [({"phase": p}, agg.wall_seconds)
+            for p, agg in sorted(aggregate_phases(events).items())])
     metric("repro_table_load_factor", "gauge",
            "Hash-table load factor per rank at last snapshot",
            [({"rank": r, "table": t}, v)
@@ -576,18 +499,17 @@ def export_trace(
     fmt: str = "jsonl",
     *,
     machine: "MachineModel | None" = None,
-    threads: int | None = None,
-    nodes: int | None = None,
+    profiler: "PhaseProfiler | None" = None,
 ) -> None:
     """Write ``events`` to ``path`` in ``fmt`` (one of :data:`TRACE_FORMATS`).
 
-    ``machine`` / ``threads`` / ``nodes`` only affect the ``chrome`` format,
-    where they enable the modeled-clock track.
+    ``machine`` and the run's ``profiler`` only affect the ``chrome``
+    format, where together they add the modeled-clock track.
     """
     if fmt == "jsonl":
         write_jsonl(events, path)
     elif fmt == "chrome":
-        write_chrome_trace(events, path, machine=machine, threads=threads, nodes=nodes)
+        write_chrome_trace(events, path, machine=machine, profiler=profiler)
     elif fmt == "prom":
         write_prometheus(events, path)
     else:

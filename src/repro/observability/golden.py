@@ -37,6 +37,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+from .aggregate import run_facts, superstep_volumes
 from .events import EventKind, TraceEvent
 
 __all__ = [
@@ -153,11 +154,8 @@ class RunFingerprint:
 
 def fingerprint_events(events: Iterable[TraceEvent]) -> RunFingerprint:
     """Reduce an event stream to its stable convergence fingerprint."""
-    algorithm = "?"
-    num_vertices = num_edges = 0
-    num_ranks: int | None = None
-    num_levels = 0
-    final_q = 0.0
+    events = list(events)
+    facts = run_facts(events)
     level_vertices: dict[int, int] = {}
     level_q: dict[int, float] = {}
     level_iters: dict[int, int] = {}
@@ -165,19 +163,9 @@ def fingerprint_events(events: Iterable[TraceEvent]) -> RunFingerprint:
     candidates: dict[int, list[int]] = {}
     epsilon: dict[int, list[float]] = {}
     dq: dict[int, list[float]] = {}
-    volumes: dict[str, list[int]] = {}
 
     for ev in events:
-        if ev.kind == EventKind.RUN_START:
-            algorithm = str(ev.data.get("algorithm", ev.name))
-            num_vertices = int(ev.data.get("num_vertices", 0))
-            num_edges = int(ev.data.get("num_edges", 0))
-            ranks = ev.data.get("num_ranks")
-            num_ranks = None if ranks is None else int(ranks)
-        elif ev.kind == EventKind.RUN_END:
-            final_q = float(ev.data.get("modularity", 0.0))
-            num_levels = int(ev.data.get("num_levels", 0))
-        elif ev.kind == EventKind.LEVEL_START:
+        if ev.kind == EventKind.LEVEL_START:
             lvl = int(ev.data["level"])
             level_vertices[lvl] = int(ev.data.get("num_vertices", 0))
         elif ev.kind == EventKind.LEVEL_END:
@@ -196,12 +184,6 @@ def fingerprint_events(events: Iterable[TraceEvent]) -> RunFingerprint:
             )
             thr = ev.data.get("dq_threshold")
             dq.setdefault(lvl, []).append(0.0 if thr is None else float(thr))
-        elif ev.kind == EventKind.SUPERSTEP:
-            v = volumes.setdefault(ev.name, [0, 0, 0, 0])
-            v[0] += 1
-            v[1] += int(ev.data.get("records", 0))
-            v[2] += int(ev.data.get("messages", 0))
-            v[3] += int(ev.data.get("bytes", 0))
 
     seen_levels = sorted(
         set(level_vertices) | set(level_q) | set(movers)
@@ -220,14 +202,17 @@ def fingerprint_events(events: Iterable[TraceEvent]) -> RunFingerprint:
         for lvl in seen_levels
     )
     return RunFingerprint(
-        algorithm=algorithm,
-        num_vertices=num_vertices,
-        num_edges=num_edges,
-        num_ranks=num_ranks,
-        num_levels=num_levels,
-        final_modularity=final_q,
+        algorithm=facts.algorithm or "?",
+        num_vertices=facts.num_vertices or 0,
+        num_edges=facts.num_edges or 0,
+        num_ranks=facts.num_ranks,
+        num_levels=facts.num_levels or 0,
+        final_modularity=facts.modularity or 0.0,
         levels=levels,
-        superstep_volumes={k: tuple(v) for k, v in volumes.items()},  # type: ignore[misc]
+        superstep_volumes={
+            phase: (v.supersteps, v.records, v.messages, v.nbytes)
+            for phase, v in superstep_volumes(events).items()
+        },
     )
 
 
@@ -414,23 +399,10 @@ class GoldenSpec:
     dynamic: dict[str, Any] | None = None
 
     def build_graph(self):
-        """Deterministically construct the benchmark graph (lazy imports)."""
-        if self.family == "lfr":
-            from ..generators import LFRParams, generate_lfr
+        """Deterministically construct the benchmark graph (lazy import)."""
+        from ..generators import build_graph
 
-            return generate_lfr(LFRParams(**self.params), seed=self.seed).graph
-        if self.family == "rmat":
-            from ..generators import RMATParams, generate_rmat
-
-            return generate_rmat(RMATParams(**self.params), seed=self.seed)
-        if self.family == "social":
-            from ..generators import load_social_graph
-
-            return load_social_graph(
-                self.params["name"], seed=self.seed,
-                scale=self.params.get("scale", 1.0),
-            ).graph
-        raise ValueError(f"unknown golden family {self.family!r}")
+        return build_graph(self.family, self.params, seed=self.seed)
 
 
 #: The gated benchmarks: one per graph family the paper evaluates

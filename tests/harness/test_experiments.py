@@ -2,12 +2,13 @@
 
 The benchmarks run paper-sized configurations; these tests only assert that
 each runner produces structurally valid, qualitatively sane output quickly.
-The matrix-backed figures (Figs. 4, 7, 8, 9, Table III) run their
+The matrix-backed figures (Figs. 4, 5, 7, 8, 9, Tables III and IV) run their
 projections over small in-memory matrices shaped like the checked-in ones.
 """
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.bench import build_summary, parse_config, run_matrix, runner
@@ -16,10 +17,8 @@ from repro.harness import (
     first_level_seconds,
     gteps,
     run_fig2,
-    run_fig5,
     run_fig6,
     run_table1,
-    run_table4,
 )
 from repro.harness import experiments as hx
 from repro.parallel import parallel_louvain
@@ -106,13 +105,45 @@ class TestFig4:
 
 
 class TestFig5:
-    def test_distributions_similar(self):
-        rows = run_fig5(["Amazon"], num_ranks=4, scale=0.2)
-        r = rows[0]
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        graphs = _social("Amazon", scale=0.2)
+        graphs["lfr-mu04"] = {"family": "lfr", "num_vertices": 400,
+                              "avg_degree": 16, "max_degree": 64, "mixing": 0.4}
+        return _run(
+            {"graph": list(graphs), "variant": ["sequential", "parallel"]},
+            {"graph": "{graph}", "ranks": 4}, graphs, keep_membership=True,
+        )
+
+    def test_distributions_similar(self, matrix):
+        r = hx.fig5_rows(matrix)[0]
+        assert r.graph == "Amazon"
         assert r.seq_largest > 1 and r.par_largest > 1
         # largest communities within 3x of each other (paper: 278 vs 358)
         ratio = r.par_largest / r.seq_largest
         assert 1 / 3 < ratio < 3
+
+    def test_printed_rows_count_every_community(self, matrix):
+        """Each printed count row sums to its partition's community count,
+        with both partitions under the one printed set of bin edges."""
+        text = hx.format_fig5(hx.fig5_rows(matrix))
+        printed = {}
+        graph = None
+        for line in text.splitlines()[1:]:
+            if "largest community" in line:
+                graph = line.split(":")[0].strip()
+            elif "count" in line:
+                variant = line.split()[0]
+                printed[(graph, variant)] = sum(int(x) for x in line.split()[2:])
+        memberships = {
+            (c.cell.factors["graph"], c.cell.factors["variant"][:3]):
+                c.timed[0].membership
+            for c in matrix.cells
+        }
+        labels = {"Amazon": "Amazon", "lfr-mu04": "LFR(mu=0.4)"}
+        assert len(printed) == len(memberships) == 4
+        for (graph, variant), membership in memberships.items():
+            assert printed[(labels[graph], variant)] == np.unique(membership).size
 
 
 class TestTable3:
@@ -219,11 +250,29 @@ class TestFig8:
 
 
 class TestTable4:
-    def test_row_structure(self):
-        res = run_table4(nodes=4, scale=0.15)
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        return _run(
+            {"nodes": [4, 2]},
+            {"graph": "UK-2007", "ranks": "{nodes}", "machine": "p7ih",
+             "work_scale": "paper"},
+            _social("UK-2007", scale=0.15),
+        )
+
+    def test_row_structure(self, matrix):
+        res = hx.table4_result(matrix)
         assert res.our_modularity > 0.7
         assert res.our_time_s > 0
         assert len(res.literature) == len(UK2007_LITERATURE)
+        assert "This reproduction (modeled)" in hx.format_table4(res)
+
+    def test_reports_the_largest_node_count(self, matrix):
+        res = hx.table4_result(matrix)
+        largest = next(c for c in matrix.cells if c.cell.params["nodes"] == 4)
+        assert res.nodes == 4
+        assert res.our_time_s == largest.timed[0].modeled_s
+        assert res.our_modularity == largest.timed[0].modularity
+        assert "4 simulated nodes" in res.note
 
 
 class TestFig9:

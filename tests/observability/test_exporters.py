@@ -1,6 +1,7 @@
 """Exporter tests: JSONL round-trip, Chrome-trace schema, Prometheus text."""
 
 import json
+from collections import defaultdict
 
 import pytest
 
@@ -14,6 +15,8 @@ from repro.observability import (
     read_jsonl,
     write_jsonl,
 )
+from repro.parallel import detect_communities
+from repro.runtime import P7IH, model_phase_time, model_times
 
 
 @pytest.fixture
@@ -94,6 +97,56 @@ class TestChromeTrace:
         begin = next(e for e in doc["traceEvents"] if e["ph"] == "B")
         src = next(e for e in traced_run if e.kind == EventKind.SPAN_BEGIN)
         assert begin["ts"] == pytest.approx(src.ts * 1e6)
+
+
+class TestModeledClock:
+    """The pid-1 track lays the run's profiler scopes end to end."""
+
+    @pytest.fixture(scope="class", params=["parallel", "naive"])
+    def run(self, request):
+        from repro.generators import LFRParams, generate_lfr
+
+        graph = generate_lfr(LFRParams(num_vertices=300), seed=1).graph
+        tracer = Tracer()
+        summary = detect_communities(
+            graph, algorithm=request.param, num_ranks=4, machine=P7IH,
+            tracer=tracer,
+        )
+        profiler = summary.raw.simulation.profiler
+        doc = chrome_trace(tracer.events, machine=P7IH, profiler=profiler)
+        track = [e for e in doc["traceEvents"] if e["pid"] == 1 and e["ph"] == "X"]
+        return profiler, track
+
+    def test_each_event_is_one_scope(self, run):
+        profiler, track = run
+        assert track
+        for ev in track:
+            key = (ev["args"]["level"], ev["args"]["iteration"], ev["name"])
+            secs = model_phase_time(profiler.scopes[key], P7IH)
+            assert ev["dur"] == secs * 1e6
+            assert ev["dur"] > 0
+
+    def test_events_are_laid_end_to_end(self, run):
+        _, track = run
+        for prev, ev in zip(track, track[1:]):
+            assert ev["ts"] == pytest.approx(prev["ts"] + prev["dur"], rel=1e-9)
+
+    def test_iteration_sums_match_model_times(self, run):
+        profiler, track = run
+        per_scope = defaultdict(float)
+        for ev in track:
+            per_scope[(ev["args"]["level"], ev["args"]["iteration"])] += ev["dur"]
+        keys = {(level, iteration) for level, iteration, _ in profiler.scopes}
+        for level, iteration in keys:
+            expected = sum(
+                model_times(profiler.select(level, iteration), P7IH).values()
+            )
+            got = per_scope.get((level, iteration), 0.0) / 1e6
+            assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_no_profiler_no_track(self, traced_run):
+        doc = chrome_trace(traced_run, machine=P7IH)
+        assert not [e for e in doc["traceEvents"] if e["pid"] == 1]
 
 
 class TestPrometheus:

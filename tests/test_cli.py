@@ -189,6 +189,23 @@ class TestTrace:
             for ev in doc["traceEvents"]
         )
 
+    def test_chrome_modeled_track_reads_the_profiler(self, edge_file, tmp_path):
+        """The modeled (pid 1) track needs a rank runtime's profiler: a
+        sequential run has none, so its export has no such track."""
+        tracks = {}
+        for algorithm in ("sequential", "parallel"):
+            trace = tmp_path / f"{algorithm}.json"
+            rc = main([
+                "detect", str(edge_file), "--algorithm", algorithm,
+                "--machine", "p7ih", "--trace", str(trace),
+                "--trace-format", "chrome",
+            ])
+            assert rc == 0
+            doc = json.loads(trace.read_text())
+            tracks[algorithm] = [e for e in doc["traceEvents"] if e["pid"] == 1]
+        assert tracks["sequential"] == []
+        assert any(e["ph"] == "X" and e["dur"] > 0 for e in tracks["parallel"])
+
     def test_prom_snapshot(self, edge_file, tmp_path):
         trace = tmp_path / "t.prom"
         rc = main([
@@ -310,7 +327,7 @@ class TestInfo:
 
 
 class TestExperiment:
-    @pytest.mark.parametrize("exp", ["table1", "fig5", "table4"])
+    @pytest.mark.parametrize("exp", ["table1"])
     def test_small_experiments_run(self, exp, capsys):
         rc = main(["experiment", exp, "--scale", "0.15"])
         assert rc == 0
@@ -352,6 +369,33 @@ class TestExperiment:
         out = capsys.readouterr().out
         assert out.startswith("Table III: parallel-vs-sequential")
         assert "LFR(mu=0.4)" in out
+
+    def test_fig5_and_table4_run_their_matrices(self, tmp_path, monkeypatch, capsys):
+        """Fig. 5 projects the Table III matrix, Table IV the Fig. 8 one."""
+        (tmp_path / "table3_quality.toml").write_text(
+            'label = "table3-tiny"\nrepetitions = 1\nwarmup = 0\n'
+            '[factors]\ngraph = ["lfr-mu04"]\n'
+            'variant = ["sequential", "parallel"]\n'
+            '[cell]\nvariant = "{variant}"\ngraph = "{graph}"\nranks = 2\n'
+            '[graphs.lfr-mu04]\nfamily = "lfr"\nnum_vertices = 200\n'
+            "avg_degree = 10\nmax_degree = 30\nmixing = 0.4\n"
+        )
+        (tmp_path / "fig8_breakdown.toml").write_text(
+            'label = "fig8-tiny"\nrepetitions = 1\nwarmup = 0\n'
+            "[factors]\nnodes = [4, 2]\n"
+            '[cell]\nvariant = "parallel"\ngraph = "lfr"\nranks = "{nodes}"\n'
+            'nodes = "{nodes}"\nmachine = "p7ih"\n'
+            '[graphs.lfr]\nfamily = "lfr"\nnum_vertices = 200\n'
+        )
+        monkeypatch.setattr(experiments, "MATRIX_DIR", tmp_path)
+        assert main(["experiment", "fig5"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Fig. 5: community size distribution")
+        assert "LFR(mu=0.4): largest community" in out
+        assert main(["experiment", "table4"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Table IV: UK-2007 performance vs the literature")
+        assert "4 simulated P7-IH nodes" in out
 
 
 class TestTraceDiff:
