@@ -100,7 +100,8 @@ def test_streaming_sink_overhead_under_5_percent():
     assert events, "enabled run must emit events"
 
     # Per-event streaming cost: replay the run's real event mix through the
-    # sink (flush_every=1, the live-follow configuration) in a tight loop.
+    # sink (which flushes every event: the live-follow configuration) in a
+    # tight loop.
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "stream.jsonl")
         repeats = max(1, 20_000 // len(events))

@@ -24,7 +24,8 @@ Cell parameter vocabulary (factor fields merged under the template; see
 ``work_edges``      target edge count; ``work_scale`` becomes
                     ``work_edges / proxy edges`` (weak-scaling sweeps)
 ``execution``       ``simulated`` | ``process`` (true SPMD workers;
-                    ``parallel`` variant only, implies vector backend)
+                    ``parallel`` and ``naive`` variants only, implies
+                    vector backend)
 ``schedule_p1/p2``  Eq.-7 schedule override
 *anything else*     forwarded as algorithm config (``max_inner``, ...)
 ==================  =====================================================
@@ -199,10 +200,10 @@ def _run_once(
         raise BenchConfigError(
             f"unknown execution {execution!r} (use simulated/process)"
         )
-    if execution == "process" and variant != "parallel":
+    if execution == "process" and variant not in ("parallel", "naive"):
         raise BenchConfigError(
-            "execution = 'process' requires variant = 'parallel'; exclude "
-            "the combination for other variants"
+            "execution = 'process' requires variant = 'parallel' or 'naive'; "
+            "exclude the combination for other variants"
         )
     ranks = int(p.get("ranks", 4))
     seed = int(p.get("seed", 0))
@@ -270,8 +271,7 @@ def _run_once(
     if variant != "sequential":
         if backend is not None:
             kwargs["backend"] = backend
-        if variant == "parallel":
-            kwargs["execution"] = execution
+        kwargs["execution"] = execution
         kwargs.update(extras)
         if schedule is not None:
             kwargs["schedule"] = schedule

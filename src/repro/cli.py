@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--execution", choices=["simulated", "process"], default="simulated",
         help="run the parallel algorithm in-process (simulated ranks) or "
         "as true SPMD worker processes over shared memory "
-        "(--algorithm parallel only; bitwise-identical results)",
+        "(--algorithm parallel|naive only; bitwise-identical results)",
     )
     detect.add_argument(
         "--machine", choices=["p7ih", "bgq"], default=None,
@@ -179,9 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trc_cmp.add_argument(
         "--execution", choices=["simulated", "process"], default=None,
-        help="re-run the parallel-family benchmarks under this runtime "
-        "(--execution process is the zero-tolerance SPMD-equivalence gate "
-        "for the multi-process runtime; implies --backend vector)",
+        help="re-run the parallel, naive and dynamic benchmarks under this "
+        "runtime (--execution process is the zero-tolerance "
+        "SPMD-equivalence gate for the multi-process runtime; implies "
+        "--backend vector)",
     )
     trc_cmp.add_argument(
         "--perturb-p1", type=float, default=1.0, metavar="FACTOR",
@@ -551,18 +552,15 @@ def _cmd_detect(args) -> int:
     from .parallel import build_dendrogram, detect_communities, label_propagation
     from .runtime import BGQ, P7IH
 
-    if args.trace and args.algorithm == "lpa":
-        print("--trace is not supported for lpa", file=sys.stderr)
-        return 2
-    if args.sanitize and args.algorithm not in ("parallel", "naive"):
-        print("--sanitize requires --algorithm parallel|naive", file=sys.stderr)
+    if args.sanitize and args.algorithm == "sequential":
+        print("--sanitize requires --algorithm parallel|naive|lpa", file=sys.stderr)
         return 2
     if args.backend is not None and args.algorithm not in ("parallel", "naive"):
         print("--backend requires --algorithm parallel|naive", file=sys.stderr)
         return 2
-    if args.execution == "process" and args.algorithm != "parallel":
+    if args.execution == "process" and args.algorithm not in ("parallel", "naive"):
         print(
-            "--execution process requires --algorithm parallel",
+            "--execution process requires --algorithm parallel|naive",
             file=sys.stderr,
         )
         return 2
@@ -587,41 +585,52 @@ def _cmd_detect(args) -> int:
         else:
             tracer = Tracer()
     t0 = time.perf_counter()
-    if args.algorithm == "lpa":
-        res = label_propagation(graph, num_ranks=args.ranks, seed=args.seed)
-        membership = res.membership
-        q = modularity(graph, membership)
-        print(
-            f"label propagation: Q={q:.4f}, {res.num_communities} communities, "
-            f"{res.iterations} iterations"
-        )
-        raw = None
-    else:
-        try:
+    try:
+        if args.algorithm == "lpa":
+            res = label_propagation(
+                graph, num_ranks=args.ranks, seed=args.seed, tracer=tracer,
+                sanitize=args.sanitize or None,
+            )
+            membership = res.membership
+            q = modularity(graph, membership)
+            print(
+                f"label propagation: Q={q:.4f}, {res.num_communities} "
+                f"communities, {res.iterations} iterations"
+            )
+            raw = None
+            profiler = res.simulation.profiler
+        else:
             backend_kwargs = {}
             if args.algorithm in ("parallel", "naive"):
                 if args.backend is not None:
                     backend_kwargs["backend"] = args.backend
-                if args.algorithm == "parallel":
-                    backend_kwargs["execution"] = args.execution
+                backend_kwargs["execution"] = args.execution
             summary = detect_communities(
                 graph, algorithm=args.algorithm, num_ranks=args.ranks,
                 machine=machine, seed=args.seed, tracer=tracer,
                 sanitize=args.sanitize or None, **backend_kwargs,
             )
-        except InvariantViolation as exc:
-            if tracer is not None:
-                tracer.close()  # the streamed prefix is still valid JSONL
-            print(f"invariant violation: {exc}", file=sys.stderr)
-            return 3
-        membership = summary.membership
-        print(
-            f"{summary.algorithm}: Q={summary.modularity:.4f}, "
-            f"{summary.num_communities} communities, {summary.num_levels} levels"
-        )
-        if summary.modeled_total_seconds is not None:
-            print(f"modeled {machine.name} time: {summary.modeled_total_seconds:.4f}s")
-        raw = summary.raw
+            membership = summary.membership
+            print(
+                f"{summary.algorithm}: Q={summary.modularity:.4f}, "
+                f"{summary.num_communities} communities, "
+                f"{summary.num_levels} levels"
+            )
+            if summary.modeled_total_seconds is not None:
+                print(
+                    f"modeled {machine.name} time: "
+                    f"{summary.modeled_total_seconds:.4f}s"
+                )
+            raw = summary.raw
+            # Only the rank runtimes keep a profiler.
+            profiler = (
+                raw.simulation.profiler if args.algorithm != "sequential" else None
+            )
+    except InvariantViolation as exc:
+        if tracer is not None:
+            tracer.close()  # the streamed prefix is still valid JSONL
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return 3
     print(f"wall clock: {time.perf_counter() - t0:.2f}s")
 
     if tracer is not None:
@@ -631,14 +640,10 @@ def _cmd_detect(args) -> int:
                 f"wrote {args.trace} ({sink.num_events} events, jsonl, streamed)"
             )
         else:
-            # Only the rank runtimes keep a profiler; the Chrome export's
-            # modeled track reads it.
+            # The Chrome export's modeled track reads the profiler.
             export_trace(
                 tracer.events, args.trace, args.trace_format, machine=machine,
-                profiler=(
-                    raw.simulation.profiler
-                    if args.algorithm in ("parallel", "naive") else None
-                ),
+                profiler=profiler,
             )
             print(
                 f"wrote {args.trace} ({len(tracer.events)} events, "

@@ -4,10 +4,13 @@ The subsystem has six pieces:
 
 * :class:`Tracer` / :data:`NULL_TRACER` -- span + counter + typed event
   capture with a no-op disabled path;
-* :mod:`repro.observability.events` -- the typed event vocabulary;
+* :mod:`repro.observability.events` -- the typed event vocabulary and
+  ``event_line``, the one JSONL serializer;
 * :mod:`repro.observability.sinks` -- streaming sinks
-  (:class:`JsonlWriterSink` appends each event as it is emitted, so long
-  runs hold O(1) events in memory and the file can be followed live);
+  (:class:`JsonlWriterSink` writes and flushes each event as it is
+  emitted, so long runs hold O(1) events in memory and the file can be
+  followed live; :class:`RotatingJsonlSink` is the same write path over
+  size-capped segments);
 * :mod:`repro.observability.exporters` -- JSONL, Chrome ``trace_event`` and
   Prometheus text output, plus the streaming readers behind
   ``repro trace tail``;
@@ -18,9 +21,11 @@ The subsystem has six pieces:
   fingerprints with wall-clock noise projected out, compared under
   configurable tolerances against checked-in goldens.
 
-Algorithms accept ``tracer=`` and emit through it; the runtime's
-:class:`~repro.runtime.profiler.PhaseProfiler` bridges its phase stack onto
-tracer spans, so traces carry the same hierarchy Fig. 8 aggregates.
+Algorithms accept ``tracer=`` and emit through it; it is also the one
+trace argument of :func:`~repro.parallel.detect_communities`.  The
+runtime's :class:`~repro.runtime.profiler.PhaseProfiler` bridges its phase
+stack onto tracer spans, so traces carry the same hierarchy Fig. 8
+aggregates.
 """
 
 from .aggregate import (

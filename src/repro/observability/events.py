@@ -5,9 +5,9 @@ Every record a :class:`~repro.observability.tracer.Tracer` captures is one
 increasing sequence number, a wall-clock timestamp relative to tracer
 creation, a *kind* from :class:`EventKind`, an optional simulated rank, and a
 kind-specific payload dict.  Keeping the envelope uniform makes the exporters
-trivial (JSONL is a straight dump, Chrome trace and Prometheus are
-projections) while the ``kind`` vocabulary keeps the stream typed enough to
-reconstruct the paper's figures:
+trivial (JSONL is a straight dump through :func:`event_line`, Chrome trace
+and Prometheus are projections) while the ``kind`` vocabulary keeps the
+stream typed enough to reconstruct the paper's figures:
 
 ===================  =========================================================
 kind                 payload (``data``) fields
@@ -35,10 +35,11 @@ kind                 payload (``data``) fields
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["EventKind", "TraceEvent"]
+__all__ = ["EventKind", "TraceEvent", "event_line"]
 
 
 class EventKind:
@@ -96,3 +97,18 @@ class TraceEvent:
             rank=None if d.get("rank") is None else int(d["rank"]),
             data=dict(d.get("data") or {}),
         )
+
+
+#: The JSONL encoder: compact separators, ASCII output.  Built once --
+#: ``json.dumps`` with a non-default argument builds a fresh encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def event_line(event: TraceEvent) -> str:
+    """``event`` as one JSONL line, newline included.
+
+    The only code that turns an event into JSONL: the goldens, the sinks'
+    files and :func:`~repro.observability.exporters.write_jsonl` share these
+    bytes.  The line is ASCII, so ``len(line)`` is its size in bytes.
+    """
+    return _ENCODER.encode(event.to_dict()) + "\n"

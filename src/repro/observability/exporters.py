@@ -29,7 +29,7 @@ import time
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .aggregate import aggregate_phases, iteration_counts, run_facts, superstep_volumes
-from .events import EventKind, TraceEvent
+from .events import EventKind, TraceEvent, event_line
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.machine import MachineModel
@@ -65,8 +65,7 @@ def write_jsonl(events: Iterable[TraceEvent], path: str) -> None:
     """One JSON object per line, in stream order."""
     with open(path, "w", encoding="utf-8") as fh:
         for ev in events:
-            fh.write(json.dumps(ev.to_dict(), separators=(",", ":")))
-            fh.write("\n")
+            fh.write(event_line(ev))
 
 
 def read_jsonl(path: str) -> list[TraceEvent]:

@@ -522,12 +522,12 @@ def run_spec(
     gate for the vectorized backend.
 
     ``execution`` ("simulated" or "process") selects the runtime for the
-    parallel-family benchmarks (``algorithm="parallel"`` and the dynamic
-    warm-start specs); sequential and naive runs ignore it, the same way
-    they ignore ``backend``.  ``execution="process"`` runs the vector
-    backend unless a backend was given explicitly (the config's default),
-    and comparing a process re-run against the recorded goldens at zero
-    tolerance is the SPMD-equivalence gate for the multi-process runtime.
+    parallel and naive benchmarks and the dynamic warm-start specs; the
+    sequential baseline ignores it, the same way it ignores ``backend``.
+    ``execution="process"`` runs the vector backend unless a backend was
+    given explicitly (the config's default), and comparing a process re-run
+    against the recorded goldens at zero tolerance is the SPMD-equivalence
+    gate for the multi-process runtime.
     """
     from ..parallel import ExponentialSchedule, detect_communities
     from .tracer import Tracer
@@ -536,11 +536,10 @@ def run_spec(
     if spec.algorithm == "parallel" and not math.isclose(perturb_p1, 1.0):
         base = ExponentialSchedule()
         schedule = ExponentialSchedule(p1=base.p1 * perturb_p1, p2=base.p2)
-    parallel_family = spec.algorithm == "parallel" or spec.dynamic is not None
     backend_kwargs: dict[str, Any] = {}
     if backend is not None and spec.algorithm != "sequential":
         backend_kwargs["backend"] = backend
-    if execution is not None and parallel_family:
+    if execution is not None and spec.algorithm != "sequential":
         backend_kwargs["execution"] = execution
     graph = spec.build_graph()
     tracer = Tracer(sink=sink, buffer=sink is None)

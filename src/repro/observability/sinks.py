@@ -13,19 +13,17 @@ format :func:`~repro.observability.exporters.write_jsonl` produces), so
   what makes ``repro trace tail --follow`` (live monitoring) and the golden
   regression gate's record mode work off the same file.
 
-``flush_every=1`` (the default) flushes after every event so a concurrent
-reader never waits more than one event behind the run; raise it for
-throughput if live visibility does not matter.
+:class:`RotatingJsonlSink` is the same writer over size-capped segment files,
+for a process whose stream never ends (``repro serve``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from typing import Protocol, runtime_checkable
+from typing import Protocol, TextIO, runtime_checkable
 
-from .events import TraceEvent
+from .events import TraceEvent, event_line
 
 __all__ = [
     "TraceSink",
@@ -49,31 +47,43 @@ class TraceSink(Protocol):
 
 
 class JsonlWriterSink:
-    """Incremental JSONL writer (one event per line, append-as-emitted)."""
+    """Incremental JSONL writer (one event per line, append-as-emitted).
 
-    def __init__(self, path: str, *, flush_every: int = 1) -> None:
-        if flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
+    Each event is serialized by :func:`~repro.observability.events.event_line`
+    before the lock is taken, then written in one ``write()`` and flushed
+    under it: a concurrent reader is never more than one event behind the
+    run, and threads sharing a sink (a service traces many concurrent jobs
+    into one) interleave whole lines, never partial ones.
+    """
+
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.flush_every = int(flush_every)
         self.num_events = 0
-        self._fh = open(path, "w", encoding="utf-8")
+        self._lock = threading.Lock()
         self._closed = False
+        self._fh = self._open_file()
+
+    def _open_file(self) -> TextIO:
+        return open(self.path, "w", encoding="utf-8")
+
+    def _make_room(self, nbytes: int) -> None:
+        """Called under the lock before a line of ``nbytes`` is written."""
 
     def write(self, event: TraceEvent) -> None:
-        if self._closed:
-            raise ValueError(f"sink for {self.path} is closed")
-        self._fh.write(json.dumps(event.to_dict(), separators=(",", ":")))
-        self._fh.write("\n")
-        self.num_events += 1
-        if self.num_events % self.flush_every == 0:
+        line = event_line(event)
+        with self._lock:
+            if self._closed:
+                raise ValueError(f"sink for {self.path} is closed")
+            self._make_room(len(line))
+            self._fh.write(line)
             self._fh.flush()
+            self.num_events += 1
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._fh.flush()
-            self._fh.close()
+        with self._lock:
+            if not self._closed:
+                self._closed = True
+                self._fh.close()
 
     @property
     def closed(self) -> bool:
@@ -86,23 +96,19 @@ class JsonlWriterSink:
         self.close()
 
 
-class RotatingJsonlSink:
+class RotatingJsonlSink(JsonlWriterSink):
     """JSONL sink that rotates into size-capped segment files.
 
     A long-lived process (``repro serve``) emits an unbounded event stream;
     a single append-only file would grow forever.  This sink writes the same
-    one-event-per-line format as :class:`JsonlWriterSink`, but into numbered
-    segments next to ``path``: ``trace.jsonl`` becomes ``trace.00000.jsonl``,
+    lines as :class:`JsonlWriterSink`, but into numbered segments next to
+    ``path``: ``trace.jsonl`` becomes ``trace.00000.jsonl``,
     ``trace.00001.jsonl``, ... A segment is closed once writing the next
     event would push it past ``max_segment_bytes`` (events are never split
     across segments, so every segment is valid JSONL on its own and a
     single oversized event still lands whole).  With ``max_segments`` set,
     the oldest segment is deleted on rotation, bounding total disk use to
     roughly ``max_segments * max_segment_bytes``.
-
-    Writes are serialized with a lock: a service traces many concurrent jobs
-    into one sink, and interleaved *lines* are fine but interleaved *partial
-    lines* would corrupt the stream.
     """
 
     def __init__(
@@ -111,46 +117,42 @@ class RotatingJsonlSink:
         *,
         max_segment_bytes: int = 4_000_000,
         max_segments: int | None = None,
-        flush_every: int = 1,
     ) -> None:
         if max_segment_bytes < 1:
             raise ValueError("max_segment_bytes must be >= 1")
         if max_segments is not None and max_segments < 1:
             raise ValueError("max_segments must be >= 1 (or None for unlimited)")
-        if flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
-        self.path = path
         self.max_segment_bytes = int(max_segment_bytes)
         self.max_segments = max_segments
-        self.flush_every = int(flush_every)
-        self.num_events = 0
         self.segment_paths: list[str] = []
-        self._lock = threading.Lock()
-        self._index = 0
+        self._index = -1
         self._segment_bytes = 0
-        self._closed = False
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        self._fh = open(self._segment_path(0), "w", encoding="utf-8")
-        self.segment_paths.append(self._segment_path(0))
+        super().__init__(path)
 
-    def _segment_path(self, index: int) -> str:
+    def _open_file(self) -> TextIO:
+        """Open the next numbered segment."""
+        self._index += 1
         root, ext = os.path.splitext(self.path)
-        return f"{root}.{index:05d}{ext or '.jsonl'}"
+        path = f"{root}.{self._index:05d}{ext or '.jsonl'}"
+        self.segment_paths.append(path)
+        self._segment_bytes = 0
+        return open(path, "w", encoding="utf-8")
 
     @property
     def current_segment(self) -> str:
         return self.segment_paths[-1]
 
+    def _make_room(self, nbytes: int) -> None:
+        if self._segment_bytes and self._segment_bytes + nbytes > self.max_segment_bytes:
+            self._rotate()
+        self._segment_bytes += nbytes
+
     def _rotate(self) -> None:
-        self._fh.flush()
         self._fh.close()
-        self._index += 1
-        path = self._segment_path(self._index)
-        self._fh = open(path, "w", encoding="utf-8")
-        self._segment_bytes = 0
-        self.segment_paths.append(path)
+        self._fh = self._open_file()
         if self.max_segments is not None:
             while len(self.segment_paths) > self.max_segments:
                 oldest = self.segment_paths.pop(0)
@@ -158,37 +160,6 @@ class RotatingJsonlSink:
                     os.remove(oldest)
                 except OSError:
                     pass  # already gone; bounding disk use is best-effort
-
-    def write(self, event: TraceEvent) -> None:
-        line = json.dumps(event.to_dict(), separators=(",", ":")) + "\n"
-        nbytes = len(line.encode("utf-8"))
-        with self._lock:
-            if self._closed:
-                raise ValueError(f"sink for {self.path} is closed")
-            if self._segment_bytes and self._segment_bytes + nbytes > self.max_segment_bytes:
-                self._rotate()
-            self._fh.write(line)
-            self._segment_bytes += nbytes
-            self.num_events += 1
-            if self.num_events % self.flush_every == 0:
-                self._fh.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._closed:
-                self._closed = True
-                self._fh.flush()
-                self._fh.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __enter__(self) -> "RotatingJsonlSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class ListSink:

@@ -16,8 +16,6 @@ from ..analysis.sanitizer import Sanitizer
 from ..graph import Graph
 from ..metrics import community_sizes, modularity_from_labels
 from ..observability.events import TraceEvent
-from ..observability.exporters import write_jsonl
-from ..observability.sinks import JsonlWriterSink
 from ..observability.tracer import Tracer
 from ..runtime import MachineModel, model_times, total_time
 from ..sequential import louvain as _sequential_louvain
@@ -45,10 +43,9 @@ class DetectionSummary:
     modeled_total_seconds: float | None = None
     #: The raw algorithm result for deep inspection.
     raw: object | None = field(default=None, repr=False)
-    #: Captured trace events (empty unless a tracer was supplied).
+    #: The tracer's buffered events (empty without a tracer, and for a
+    #: streaming ``buffer=False`` tracer).
     events: list[TraceEvent] = field(default_factory=list, repr=False)
-    #: Where the JSONL trace was written (``trace_path=`` argument), if at all.
-    trace_path: str | None = None
 
     @property
     def community_sizes(self) -> np.ndarray:
@@ -66,8 +63,6 @@ def detect_communities(
     seed: int | None = 0,
     initial_membership: np.ndarray | None = None,
     tracer: Tracer | None = None,
-    trace_path: str | None = None,
-    trace_stream: bool = False,
     sanitize: bool | Sanitizer | None = None,
     **config_overrides,
 ) -> DetectionSummary:
@@ -94,18 +89,11 @@ def detect_communities(
     threads:
         Threads per node for the machine model (defaults to the machine's).
     tracer:
-        Optional :class:`~repro.observability.Tracer`; the captured events
-        land on ``summary.events`` for library users.
-    trace_path:
-        Write the captured events as JSONL here (creates a tracer if none
-        was passed); recorded on ``summary.trace_path``.
-    trace_stream:
-        With ``trace_path``, stream events to the file as they are emitted
-        (:class:`~repro.observability.sinks.JsonlWriterSink`) instead of
-        buffering the run in memory.  ``summary.events`` is then empty --
-        read the file back if the events are needed -- but the run holds
-        O(1) events resident and the trace can be followed live.  Requires
-        ``trace_path``; incompatible with an explicit ``tracer``.
+        Optional :class:`~repro.observability.Tracer`; its buffered events
+        land on ``summary.events``.  A tracer with a sink streams the run
+        as it goes (``Tracer(sink=JsonlWriterSink(path), buffer=False)``
+        holds O(1) events and leaves ``summary.events`` empty); the caller
+        closes it.
     sanitize:
         Enable the :mod:`repro.analysis` runtime invariant sanitizer for the
         parallel variants (``True``/``False``, a
@@ -115,21 +103,10 @@ def detect_communities(
     config_overrides:
         Extra :class:`ParallelLouvainConfig` fields (``max_inner`` etc.).
         ``execution="process"`` selects the true multi-process SPMD runtime
-        (``algorithm="parallel"`` only; implies ``backend="vector"`` unless
-        one was chosen explicitly).
+        for the parallel variants (implies ``backend="vector"`` unless one
+        was chosen explicitly).
     """
-    if trace_stream:
-        if trace_path is None:
-            raise ValueError("trace_stream=True requires trace_path")
-        if tracer is not None:
-            raise ValueError(
-                "pass either tracer or trace_stream=True, not both "
-                "(attach a sink to your tracer instead)"
-            )
-        tracer = Tracer(sink=JsonlWriterSink(trace_path), buffer=False)
-    elif tracer is None and trace_path is not None:
-        tracer = Tracer()
-
+    events = tracer.events if tracer is not None else []
     if algorithm == "sequential":
         if config_overrides:
             raise TypeError(
@@ -142,7 +119,7 @@ def detect_communities(
                 "initial_membership is only supported for algorithm='parallel'"
             )
         res = _sequential_louvain(graph, seed=seed, tracer=tracer)
-        summary = DetectionSummary(
+        return DetectionSummary(
             algorithm="sequential",
             membership=res.membership,
             modularity=res.final_modularity,
@@ -150,15 +127,11 @@ def detect_communities(
             num_levels=res.num_levels,
             level_modularities=list(res.modularities),
             raw=res,
+            events=events,
         )
-        return _attach_trace(summary, tracer, trace_path, streamed=trace_stream)
 
     if algorithm not in ("parallel", "naive"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if config_overrides.get("execution") == "process" and algorithm != "parallel":
-        raise TypeError(
-            "execution='process' is only supported for algorithm='parallel'"
-        )
     cfg = ParallelLouvainConfig(
         num_ranks=num_ranks,
         schedule=schedule if schedule is not None else ExponentialSchedule(),
@@ -190,6 +163,7 @@ def detect_communities(
         num_levels=result.num_levels,
         level_modularities=list(result.modularities),
         raw=result,
+        events=events,
     )
     if machine is not None:
         phases = result.simulation.profiler.phases
@@ -199,25 +173,4 @@ def detect_communities(
         summary.modeled_total_seconds = total_time(
             phases, machine, threads=threads
         )
-    return _attach_trace(summary, tracer, trace_path, streamed=trace_stream)
-
-
-def _attach_trace(
-    summary: DetectionSummary,
-    tracer: Tracer | None,
-    trace_path: str | None,
-    *,
-    streamed: bool = False,
-) -> DetectionSummary:
-    if tracer is not None:
-        summary.events = tracer.events
-        if streamed:
-            # The driver-owned sink already streamed the file; close it out.
-            # (A caller-supplied tracer with its own sink is left open --
-            # the caller decides when to close it.)
-            tracer.close()
-            summary.trace_path = trace_path
-        elif trace_path is not None and tracer.sink is None:
-            write_jsonl(tracer.events, trace_path)
-            summary.trace_path = trace_path
     return summary

@@ -360,8 +360,7 @@ class DetectionService:
             # The service-wide backend and execution mode apply unless the
             # job chose its own.
             options.setdefault("backend", JOB_BACKEND)
-            if options["algorithm"] == "parallel":
-                options.setdefault("execution", self.execution)
+            options.setdefault("execution", self.execution)
         graph = job.payload["graph"]
         summary = detect_communities(graph, tracer=ctx.tracer, **options)
         return self._publish(

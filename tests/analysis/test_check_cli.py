@@ -237,6 +237,13 @@ class TestDetectSanitize:
         assert rc == 0
         assert "parallel: Q=" in capsys.readouterr().out
 
+    def test_lpa_with_sanitize(self, edge_file, capsys):
+        rc = main([
+            "detect", str(edge_file), "--algorithm", "lpa", "--sanitize",
+        ])
+        assert rc == 0
+        assert "label propagation: Q=" in capsys.readouterr().out
+
     def test_sequential_with_sanitize_rejected(self, edge_file, capsys):
         rc = main([
             "detect", str(edge_file), "--algorithm", "sequential",

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.generators import LFRParams, generate_lfr
-from repro.observability import EventKind, Tracer, format_report, read_jsonl
+from repro.observability import (
+    EventKind,
+    JsonlWriterSink,
+    Tracer,
+    format_report,
+    read_jsonl,
+)
 from repro.parallel import detect_communities, parallel_louvain
 from repro.parallel.heuristic import ExponentialSchedule
 from repro.sequential import louvain as sequential_louvain
@@ -153,21 +159,15 @@ class TestDriverPassthrough:
         summary = detect_communities(lfr_graph, algorithm="parallel",
                                      num_ranks=2, tracer=tracer)
         assert summary.events is tracer.events
-        assert summary.trace_path is None
         assert any(e.kind == EventKind.RUN_END for e in summary.events)
-
-    def test_trace_path_writes_jsonl(self, lfr_graph, tmp_path):
-        path = tmp_path / "run.jsonl"
-        summary = detect_communities(lfr_graph, algorithm="parallel",
-                                     num_ranks=2, trace_path=str(path))
-        assert summary.trace_path == str(path)
-        assert read_jsonl(str(path)) == summary.events
 
     def test_sequential_passthrough(self, lfr_graph, tmp_path):
         path = tmp_path / "seq.jsonl"
+        tracer = Tracer(sink=JsonlWriterSink(str(path)))
         summary = detect_communities(lfr_graph, algorithm="sequential",
-                                     trace_path=str(path))
-        assert summary.events and summary.trace_path == str(path)
+                                     tracer=tracer)
+        tracer.close()
+        assert summary.events and read_jsonl(str(path)) == summary.events
 
     def test_naive_passthrough(self, lfr_graph):
         tracer = Tracer()
@@ -178,7 +178,7 @@ class TestDriverPassthrough:
 
     def test_no_tracer_no_events(self, lfr_graph):
         summary = detect_communities(lfr_graph, algorithm="parallel", num_ranks=2)
-        assert summary.events == [] and summary.trace_path is None
+        assert summary.events == []
 
 
 class TestReportRendering:

@@ -1,21 +1,29 @@
 """Tests for streaming trace sinks and the live JSONL reader."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.generators import generate_lfr
 from repro.observability import (
+    GOLDEN_BENCHMARKS,
     EventKind,
     JsonlWriterSink,
     ListSink,
+    RotatingJsonlSink,
+    TraceEvent,
     Tracer,
     follow_jsonl,
     iter_jsonl,
     read_jsonl,
 )
+from repro.observability.events import event_line
+from repro.observability.golden import golden_path
 from repro.observability.sinks import TraceSink
 from repro.parallel import detect_communities
+
+GOLDEN_DIR = str(Path(__file__).resolve().parents[2] / "benchmarks" / "goldens")
 
 
 @pytest.fixture(scope="module")
@@ -61,17 +69,6 @@ class TestJsonlWriterSink:
             assert len(events) == i + 1
         t.close()
 
-    def test_flush_every_batches_flushes(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        sink = JsonlWriterSink(str(path), flush_every=100)
-        t = Tracer(sink=sink)
-        t.emit(EventKind.COUNTER, "c")
-        # Not flushed yet; close() must flush the tail.
-        t.close()
-        assert len(read_jsonl(str(path))) == 1
-        with pytest.raises(ValueError):
-            JsonlWriterSink(str(path), flush_every=0)
-
     def test_close_idempotent_and_write_after_close_raises(self, tmp_path):
         sink = JsonlWriterSink(str(tmp_path / "t.jsonl"))
         assert not sink.closed
@@ -93,6 +90,35 @@ class TestJsonlWriterSink:
         assert isinstance(ListSink(), TraceSink)
 
 
+class TestOneSerializer:
+    """The goldens, ``repro trace tail`` and the service trace share one
+    line format; these pin it to the checked-in bytes."""
+
+    def test_goldens_reserialize_to_themselves(self):
+        checked = 0
+        for spec in GOLDEN_BENCHMARKS.values():
+            with open(golden_path(spec, GOLDEN_DIR), encoding="utf-8") as fh:
+                for line in fh:
+                    event = TraceEvent.from_dict(json.loads(line))
+                    assert event_line(event) == line, spec.name
+                    checked += 1
+        assert checked > 0
+
+    def test_rotating_segment_matches_writer_file(self, tmp_path):
+        events = read_jsonl(golden_path(GOLDEN_BENCHMARKS["lfr-small"], GOLDEN_DIR))
+        with JsonlWriterSink(str(tmp_path / "w.jsonl")) as writer:
+            for ev in events:
+                writer.write(ev)
+        with RotatingJsonlSink(str(tmp_path / "r.jsonl")) as rotating:
+            for ev in events:
+                rotating.write(ev)
+        assert rotating.segment_paths == [str(tmp_path / "r.00000.jsonl")]
+        assert writer.num_events == rotating.num_events == len(events)
+        assert (tmp_path / "r.00000.jsonl").read_bytes() == (
+            tmp_path / "w.jsonl"
+        ).read_bytes()
+
+
 class TestStreamingTracer:
     def test_buffer_false_without_sink_rejected(self):
         with pytest.raises(ValueError):
@@ -111,30 +137,18 @@ class TestStreamingTracer:
         """The acceptance criterion: a full streamed parallel run keeps the
         in-memory event list empty while the file receives everything."""
         path = tmp_path / "run.jsonl"
-        summary = detect_communities(
-            small_graph, num_ranks=4, trace_path=str(path), trace_stream=True
-        )
+        tracer = Tracer(sink=JsonlWriterSink(str(path)), buffer=False)
+        summary = detect_communities(small_graph, num_ranks=4, tracer=tracer)
+        tracer.close()
         assert summary.events == []  # O(1) resident (nothing buffered)
         events = read_jsonl(str(path))
         assert len(events) > 100  # the run itself emitted plenty
         kinds = {e.kind for e in events}
         assert EventKind.RUN_START in kinds and EventKind.RUN_END in kinds
-        assert summary.trace_path == str(path)
-
-    def test_trace_stream_requires_path(self, small_graph):
-        with pytest.raises(ValueError):
-            detect_communities(small_graph, trace_stream=True)
-
-    def test_trace_stream_rejects_explicit_tracer(self, small_graph, tmp_path):
-        with pytest.raises(ValueError):
-            detect_communities(
-                small_graph, tracer=Tracer(),
-                trace_path=str(tmp_path / "t.jsonl"), trace_stream=True,
-            )
 
     def test_caller_supplied_sink_left_open(self, small_graph, tmp_path):
-        """The driver only closes sinks it created; a caller-owned tracer
-        can keep recording across multiple runs."""
+        """The driver never closes the caller's tracer: a caller-owned
+        tracer can keep recording across multiple runs."""
         sink = JsonlWriterSink(str(tmp_path / "t.jsonl"))
         t = Tracer(sink=sink, buffer=False)
         detect_communities(small_graph, num_ranks=2, tracer=t)

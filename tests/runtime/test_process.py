@@ -146,6 +146,25 @@ class TestTrajectoryEquivalence:
         )
         assert summary.modularity == reference.modularity
 
+    def test_naive_matches_simulated_vector(self):
+        """The naive variant runs in forked workers too (the lfr-naive
+        golden's graph, 4 ranks)."""
+        graph = GOLDEN_BENCHMARKS["lfr-naive"].build_graph()
+        sim = detect_communities(
+            graph, algorithm="naive", num_ranks=4, backend="vector"
+        )
+        proc = detect_communities(
+            graph, algorithm="naive", num_ranks=4, execution="process"
+        )
+        np.testing.assert_array_equal(sim.membership, proc.membership)
+        assert sim.level_modularities == proc.level_modularities
+        _assert_counters_equal(
+            sim.raw.simulation.profiler.scopes,
+            proc.raw.simulation.profiler.scopes,
+            "scopes",
+        )
+        assert proc.raw.shm_bytes_moved > 0
+
     def test_incremental_defaults_backend_to_vector(self, lfr300):
         from repro.parallel import EdgeBatch, incremental_louvain
 

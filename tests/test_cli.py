@@ -216,12 +216,19 @@ class TestTrace:
         text = trace.read_text()
         assert "# TYPE repro_run_modularity gauge" in text
 
-    def test_trace_rejected_for_lpa(self, edge_file, tmp_path):
+    def test_lpa_trace_streams_and_reports(self, edge_file, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
         rc = main([
             "detect", str(edge_file), "--algorithm", "lpa",
-            "--trace", str(tmp_path / "t.jsonl"),
+            "--trace", str(trace),
         ])
-        assert rc == 2
+        assert rc == 0
+        start = json.loads(trace.read_text().splitlines()[0])
+        assert start["kind"] == "run_start"
+        assert start["data"]["algorithm"] == "lpa"
+        capsys.readouterr()
+        assert main(["report", str(trace)]) == 0
+        assert "Phase breakdown" in capsys.readouterr().out
 
     def test_report_sections(self, edge_file, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
