@@ -555,6 +555,9 @@ def _cmd_detect(args) -> int:
     if args.sanitize and args.algorithm == "sequential":
         print("--sanitize requires --algorithm parallel|naive|lpa", file=sys.stderr)
         return 2
+    if args.machine is not None and args.algorithm == "sequential":
+        print("--machine requires --algorithm parallel|naive|lpa", file=sys.stderr)
+        return 2
     if args.backend is not None and args.algorithm not in ("parallel", "naive"):
         print("--backend requires --algorithm parallel|naive", file=sys.stderr)
         return 2

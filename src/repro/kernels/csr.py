@@ -1,26 +1,28 @@
 """CSR / segment-reduction primitives for the vectorized Louvain backend.
 
-Three families of helpers:
+Every grouping here goes through one sort, :func:`stable_sort`: non-negative
+int64 keys below a known bound, each packed with its arrival index into one
+int64 word and sorted by value (numpy's SIMD sort), which yields the stable
+order; a stable argsort takes over only where the packed word would not
+fit in 63 bits.  On it sit three families of helpers:
 
 * **Segment coalescing** -- :func:`segment_coalesce` is the array analogue of
   ``EdgeHashTable.insert_accumulate``: group duplicate keys and sum their
-  weights.  Group membership comes from one stable (radix) argsort, but the
-  weights are summed with ``np.bincount`` over the *original* array -- a
-  strict left-to-right fold in arrival order, bit-identical to the hash
-  table's ``np.add.at`` coalescing pass.  (``np.add.reduceat`` would be the
-  obvious choice but uses pairwise summation, which rounds differently and
-  would smear ulp-level noise into the differential gate.)
-* **Pair ordering** -- :func:`pair_order` picks the grouping strategy for
-  ``(first, second)`` id pairs by id range (dense grid, 16-bit radix sort or
-  a combined int64 key, whose width :func:`check_combined_width` validates
-  instead of letting ``first * bound + second`` wrap at ``2^63``);
-  :func:`coalesce_pairs` (which the graph's CSR build,
-  :func:`repro.graph.coalesce_edges`, also calls) and the vector backend's
-  Out_Table rebuild both sort through it.
+  weights.  Group membership comes from the sort, but the weights are
+  summed with ``np.bincount`` over the *original* array -- a strict
+  left-to-right fold in arrival order, bit-identical to the hash table's
+  ``np.add.at`` coalescing pass.  (``np.add.reduceat`` would be the obvious
+  choice but uses pairwise summation, which rounds differently and would
+  smear ulp-level noise into the differential gate.)
+* **Pair coalescing** -- :func:`coalesce_pairs` groups ``(first, second)``
+  id pairs by the combined key ``first * bound + second``, whose width
+  :func:`check_combined_width` validates instead of letting it wrap at
+  ``2^63``; the graph's CSR build (:func:`repro.graph.coalesce_edges`) and
+  the vector backend's Out_Table rebuild both call it.
 * **Destination grouping** -- :func:`group_by_destination` splits an
-  alltoallv outbox into per-destination-rank batches with one stable
-  argsort; both message buses and the vector backend's per-level send
-  batches group through it.
+  alltoallv outbox into per-destination-rank batches in send order; both
+  message buses and the vector backend's per-level send batches group
+  through it.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ __all__ = [
     "coalesce_pairs",
     "coalesce_with_order",
     "group_by_destination",
-    "pair_order",
     "segment_coalesce",
     "segment_starts",
+    "stable_sort",
 ]
 
 #: Largest value an int64 combined key may reach (inclusive).
@@ -76,14 +78,65 @@ def check_combined_width(num_first: int, bound_second: int, *, what: str = "key"
         )
 
 
+def stable_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stably sort int64 ``keys`` that lie in ``[0, bound)``.
+
+    Returns ``(keys[order], order)``, ``order`` being the stable argsort.
+    Each key is packed with its arrival index ``i`` into one int64 word,
+    ``key << b | i`` with ``b`` the bit length of ``n - 1``.  The words are
+    unique, so sorting them by value -- numpy's SIMD sort, no stability
+    needed -- yields the stable order; the low ``b`` bits of the sorted
+    words are ``order`` and the high bits the sorted keys.  When
+    ``(bound - 1) << b | (n - 1)`` does not fit in 63 bits the words cannot
+    be formed, and a stable ``np.argsort`` sorts instead; that
+    fallback orders any int64 keys, so a bound too wide to pack may come
+    with negative keys.
+    """
+    keys = np.asarray(keys, dtype=np.int64).ravel()
+    last = max(keys.size - 1, 0)  # the largest arrival index
+    shift = last.bit_length()
+    if ((int(bound) - 1) << shift | last) > _INT64_MAX:
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    words = keys << shift
+    words |= np.arange(keys.size, dtype=np.int64)
+    words.sort()
+    order = words & ((1 << shift) - 1)
+    words >>= shift
+    return words, order
+
+
+def _fold(
+    sorted_keys: np.ndarray, order: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unique keys and per-key weight sums, folded in arrival order.
+
+    ``sorted_keys`` is ``keys[order]`` for some permutation ``order`` that
+    sorts ``keys``; each weight is binned under its group index by
+    ``np.bincount`` over the original arrival order, a strict
+    left-to-right fold whatever ``order`` was.
+    """
+    heads = _run_heads(sorted_keys)
+    group_of_sorted = heads.astype(np.int64)
+    np.cumsum(group_of_sorted, out=group_of_sorted)
+    group_of_sorted -= 1
+    inv = np.empty(sorted_keys.size, dtype=np.int64)
+    inv[order] = group_of_sorted
+    sums = np.bincount(
+        inv, weights=weights, minlength=np.count_nonzero(heads)
+    )
+    return sorted_keys[heads], sums
+
+
 def segment_coalesce(
     keys: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum ``weights`` over duplicate ``keys``; returns sorted unique keys.
 
-    The array analogue of hash-table accumulate-insert.  Grouping comes
-    from one stable argsort; the sums come from ``np.bincount`` over the
-    original arrival order, which folds strictly left to right and therefore
+    The array analogue of hash-table accumulate-insert, for any int64 keys.
+    Grouping comes from :func:`stable_sort` (negative keys are first shifted
+    to count from 0); the sums come from ``np.bincount`` over the original
+    arrival order, which folds strictly left to right and therefore
     reproduces the hash table's ``np.add.at`` rounding bit for bit.
     """
     keys = np.asarray(keys, dtype=np.int64).ravel()
@@ -92,7 +145,14 @@ def segment_coalesce(
         raise ValueError("keys and weights must have the same length")
     if keys.size == 0:
         return keys, weights
-    return coalesce_with_order(keys, np.argsort(keys, kind="stable"), weights)
+    low = min(int(keys.min()), 0)
+    bound = int(keys.max()) - low + 1
+    if low and bound <= _INT64_MAX + 1:  # keys - low cannot wrap
+        sorted_keys, order = stable_sort(keys - low, bound)
+        sorted_keys += low
+    else:  # non-negative keys, or a span only the fallback sorts
+        sorted_keys, order = stable_sort(keys, bound)
+    return _fold(sorted_keys, order, weights)
 
 
 def coalesce_with_order(
@@ -104,74 +164,11 @@ def coalesce_with_order(
     non-decreasing -- it does not have to be the stable argsort.  Group sums
     fold in the keys' original arrival order regardless (``np.bincount``
     over the inverse group map), so any valid ``order`` yields bit-identical
-    results.  Callers with incrementally changing keys exploit this: re-sort
-    through the previous iteration's permutation (nearly sorted, so the
-    stable sort degenerates to a fast linear merge) instead of from scratch.
+    results.
     """
     keys = np.asarray(keys).ravel()
     weights = np.asarray(weights, dtype=np.float64).ravel()
-    sk = keys[order]
-    starts = segment_starts(sk)
-    group_of_sorted = np.zeros(sk.size, dtype=np.int64)
-    group_of_sorted[starts] = 1
-    np.cumsum(group_of_sorted, out=group_of_sorted)
-    group_of_sorted -= 1
-    inv = np.empty(sk.size, dtype=np.int64)
-    inv[order] = group_of_sorted
-    sums = np.bincount(inv, weights=weights, minlength=starts.size)
-    return sk[starts], sums
-
-
-#: Exclusive value bound under which one coordinate fits a uint16 radix pass.
-_RADIX16_BOUND = 1 << 16
-
-
-def pair_order(
-    first: np.ndarray,
-    second: np.ndarray,
-    num_first: int,
-    num_second: int,
-    *,
-    first_u16: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """Stable permutation sorting ``(first, second)`` pairs ascending.
-
-    The strategy is chosen by id range instead of always paying a 64-bit
-    comparison sort:
-
-    * **dense** -- when ``num_first * num_second`` is within a few passes of
-      the record count, a bincount straight into the dense pair grid needs
-      no sort at all: returns ``None`` (:func:`coalesce_pairs` then bins);
-    * **radix** -- when both coordinates fit 16 bits, two stable uint16
-      argsorts (numpy's radix path) replace the combined int64 argsort
-      (numpy's comparison path), LSD-style: sort by ``second``, then stably
-      by ``first``;
-    * **fallback** -- the combined-key stable argsort, with the int64 width
-      check.
-
-    ``first_u16`` optionally supplies a pre-cast uint16 copy of ``first``
-    for the radix path (callers whose ``first`` column is static across many
-    sorts can pay the cast once); ``second`` may itself be passed as a
-    narrow unsigned dtype to skip its cast the same way.
-    """
-    first = np.asarray(first).ravel()
-    second = np.asarray(second).ravel()
-    num_first = int(num_first)
-    num_second = int(num_second)
-    bins = num_first * num_second
-    if 0 < bins <= max(1 << 16, 8 * first.size):
-        return None
-    if num_first <= _RADIX16_BOUND and num_second <= _RADIX16_BOUND:
-        s16 = second if second.dtype == np.uint16 else second.astype(np.uint16)
-        f16 = first_u16 if first_u16 is not None else (
-            first if first.dtype == np.uint16 else first.astype(np.uint16)
-        )
-        p = np.argsort(s16, kind="stable")
-        return p[np.argsort(f16[p], kind="stable")]
-    check_combined_width(num_first, num_second, what="pair coalesce key")
-    return np.argsort(
-        first.astype(np.int64) * np.int64(num_second) + second, kind="stable"
-    )
+    return _fold(keys[order], order, weights)
 
 
 def coalesce_pairs(
@@ -180,47 +177,45 @@ def coalesce_pairs(
     num_first: int,
     num_second: int,
     weights: np.ndarray,
-    *,
-    first_u16: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coalesce ``(first, second)`` id pairs, summing ``weights`` per pair.
 
     Returns ``(first_u, second_u, sums)`` sorted ascending by ``(first,
     second)``.  Output is *identical* to ``segment_coalesce(first * num_second
-    + second, weights)`` split back into coordinates -- the sums always fold
-    in arrival order via ``np.bincount`` -- but the grouping comes from
-    :func:`pair_order` (``first_u16`` is passed through to it).
+    + second, weights)`` split back into coordinates: the combined key,
+    whose int64 width :func:`check_combined_width` validates first, is
+    grouped by :func:`stable_sort` under the bound ``num_first *
+    num_second``, and the sums fold in arrival order via ``np.bincount``.
+    ``first`` must lie in ``[0, num_first)`` and ``second`` in ``[0,
+    num_second)``; either may be any integer dtype up to int64.
     """
     first = np.asarray(first).ravel()
     second = np.asarray(second).ravel()
     weights = np.asarray(weights, dtype=np.float64).ravel()
     if first.shape != second.shape or first.shape != weights.shape:
         raise ValueError("first, second and weights must have the same length")
+    num_first = int(num_first)
     num_second = int(num_second)
-    order = pair_order(
-        first, second, num_first, num_second, first_u16=first_u16
-    )
-    keys = first.astype(np.int64) * np.int64(num_second) + second
-    if order is None:
-        # Dense grid: bin order is pair order.
-        bins = int(num_first) * num_second
-        ukeys = np.flatnonzero(np.bincount(keys, minlength=bins))
-        sums = np.bincount(keys, weights=weights, minlength=bins)[ukeys]
-    else:
-        ukeys, sums = coalesce_with_order(keys, order, weights)
+    check_combined_width(num_first, num_second, what="pair coalesce key")
+    keys = np.multiply(first, np.int64(num_second), dtype=np.int64)
+    keys += second
+    ukeys, sums = _fold(*stable_sort(keys, num_first * num_second), weights)
     f = ukeys // num_second
     return f, ukeys - f * num_second, sums
 
 
+def _run_heads(sorted_keys: np.ndarray) -> np.ndarray:
+    """Boolean mask of the entries that begin a run of equal values."""
+    heads = np.empty(sorted_keys.size, dtype=bool)
+    if sorted_keys.size:
+        heads[0] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=heads[1:])
+    return heads
+
+
 def segment_starts(sorted_keys: np.ndarray) -> np.ndarray:
     """Indices where each run of equal values begins in a sorted array."""
-    sorted_keys = np.asarray(sorted_keys)
-    if sorted_keys.size == 0:
-        return np.empty(0, dtype=np.int64)
-    new = np.empty(sorted_keys.size, dtype=bool)
-    new[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
-    return np.flatnonzero(new)
+    return np.flatnonzero(_run_heads(np.asarray(sorted_keys)))
 
 
 def group_by_destination(
@@ -229,9 +224,9 @@ def group_by_destination(
     """Split a ``(dest_ranks, col0, col1, ...)`` outbox into one column tuple
     per destination rank (empty arrays for silent ranks).
 
-    The grouping sort is *stable*, so records for one destination keep their
-    send order -- which makes a caller-pregrouped exchange byte-identical to
-    one the bus groups on the fly.
+    The grouping is :func:`stable_sort`, so records for one destination keep
+    their send order -- which makes a caller-pregrouped exchange
+    byte-identical to one the bus groups on the fly.
     """
     dest = np.asarray(box[0], dtype=np.int64)
     cols = [np.asarray(col) for col in box[1:]]
@@ -240,9 +235,9 @@ def group_by_destination(
             raise ValueError("columns must match dest length")
     if dest.size and (dest.min() < 0 or dest.max() >= num_ranks):
         raise ValueError("destination rank out of range")
-    order = np.argsort(dest, kind="stable")
+    sorted_dest, order = stable_sort(dest, num_ranks)
     bounds = np.searchsorted(
-        dest[order], np.arange(num_ranks + 1, dtype=np.int64)
+        sorted_dest, np.arange(num_ranks + 1, dtype=np.int64)
     ).tolist()
     cols = [col[order] for col in cols]
     return [tuple(col[a:b] for col in cols) for a, b in zip(bounds, bounds[1:])]

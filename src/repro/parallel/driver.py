@@ -75,12 +75,15 @@ def detect_communities(
         (Algorithm 1 baseline) or ``"naive"`` (parallel without the
         convergence heuristic).
     num_ranks:
-        Simulated rank count for the parallel variants.
+        Simulated rank count for the parallel variants; the sequential
+        baseline ignores it.
     schedule:
         Threshold schedule override; defaults to the paper's Eq. 7 fit.
+        The parallel variants only.
     machine:
         Optional machine model; when given, the summary includes modeled
-        per-phase and total seconds for the run.
+        per-phase and total seconds for the run.  The parallel variants
+        only: a sequential run has no rank runtime to model.
     initial_membership:
         Warm-start the parallel algorithm from an existing partition instead
         of singletons (the dynamic-graph serving path; see
@@ -88,6 +91,7 @@ def detect_communities(
         supports it.
     threads:
         Threads per node for the machine model (defaults to the machine's).
+        The parallel variants only.
     tracer:
         Optional :class:`~repro.observability.Tracer`; its buffered events
         land on ``summary.events``.  A tracer with a sink streams the run
@@ -108,10 +112,15 @@ def detect_communities(
     """
     events = tracer.events if tracer is not None else []
     if algorithm == "sequential":
-        if config_overrides:
-            raise TypeError(
-                f"unsupported options for sequential: {sorted(config_overrides)}"
+        unsupported = sorted(config_overrides) + [
+            name
+            for name, value in (
+                ("machine", machine), ("schedule", schedule), ("threads", threads)
             )
+            if value is not None
+        ]
+        if unsupported:
+            raise TypeError(f"unsupported options for sequential: {unsupported}")
         if sanitize not in (None, False):
             raise TypeError("sanitize is only supported for the parallel variants")
         if initial_membership is not None:

@@ -356,10 +356,9 @@ class _RankState(_RankStateBase):
             (partition.owner(v), v, c, w), partition.num_ranks
         )
 
-    def rebuild_out_table(self, inbox, in_order: bool) -> int:
+    def rebuild_out_table(self, inbox) -> int:
         """STATE PROPAGATION receive half: hash the inbox into a fresh
-        Out_Table.  Returns the probes it took.  (``in_order`` switches
-        only the vector state's inbox cache.)"""
+        Out_Table.  Returns the probes it took."""
         u_in, c_in, w_in = inbox
         self.tables.reset_out_table()
         before = self.tables.out_table.probe_count
@@ -685,7 +684,7 @@ class _Schedule:
         result = bus.exchange_grouped(outboxes)
         scanned = self._map(
             sim,
-            lambda st: st.rebuild_out_table(result.inbox(st.rank), in_order),
+            lambda st: st.rebuild_out_table(result.inbox(st.rank)),
             ranks,
         )
         for st, ops in zip(ranks, scanned):

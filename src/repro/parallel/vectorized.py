@@ -14,9 +14,9 @@ chains, this backend keeps
   (:func:`repro.kernels.group_by_destination`) for the STATE PROPAGATION
   alltoallv (``exchange_grouped``);
 * the Out_Table as sorted segment arrays ``(out_ul, out_c, out_w)`` rebuilt
-  each superstep by one stable sort (:func:`repro.kernels.pair_order`, or a
-  warm start from the previous superstep's order) + ``np.bincount``
-  coalesce (:func:`repro.kernels.coalesce_with_order`);
+  each superstep by :func:`repro.kernels.coalesce_pairs`: one stable sort
+  of the ``(u_local, c)`` keys (:func:`repro.kernels.stable_sort`) +
+  ``np.bincount`` coalesce;
 * community ``sigma_tot`` / size replicas as **dense vectors** indexed by
   community id, replacing per-lookup ``searchsorted`` probes;
 * the Eq.-4 gain scan and best-move selection as segment reductions
@@ -43,9 +43,8 @@ import numpy as np
 from ..kernels import (
     check_combined_width,
     coalesce_pairs,
-    coalesce_with_order,
+    coalesce_with_order,  # noqa: F401 -- uncalled; perfbench/spans.py times it here
     group_by_destination,
-    pair_order,
     segment_coalesce,
     segment_starts,
 )
@@ -139,11 +138,6 @@ class _VectorRankState(_RankStateBase):
         "out_starts",  # first entry of each per-vertex segment
         "out_seg",  # entry -> segment index
         "sigma_flags",  # bool[n_level]: communities adjacent via in-edges
-        "prop_ul",  # cached inbox u_local column (static per level)
-        "prop_ul16",  # ... its uint16 cast for the radix coalesce
-        "prop_key_base",  # ... u_local * n_level, the static key half
-        "prev_key",  # previous iteration's (u_local, c) keys ...
-        "prev_order",  # ... and their sorting permutation (warm start)
         "__weakref__",  # the table views' back-reference
     )
 
@@ -207,11 +201,6 @@ class _VectorRankState(_RankStateBase):
         self.out_starts = np.empty(0, dtype=np.int64)
         self.out_seg = np.empty(0, dtype=np.int64)
         self.sigma_flags = np.zeros(self.n_level, dtype=bool)
-        self.prop_ul = None
-        self.prop_ul16 = None
-        self.prop_key_base = None
-        self.prev_key = None
-        self.prev_order = None
         self.tables = _ArrayTables(self)
 
     def propagation_outbox(self) -> list[tuple[np.ndarray, ...]]:
@@ -219,77 +208,20 @@ class _VectorRankState(_RankStateBase):
         comm = self.community
         return [(v, comm[ul], w) for (v, ul, w) in self.send_parts]
 
-    def rebuild_out_table(self, inbox, in_order: bool) -> int:
+    def rebuild_out_table(self, inbox) -> int:
         """STATE PROPAGATION receive half: coalesce the inbox into Out_Table.
 
         Returns the number of records scanned.
         """
-        vl_in, c_in, w_in = inbox
-        c_in = np.asarray(c_in, dtype=np.int64)
-        n_level = self.n_level
-        n = np.int64(n_level)
-        n_local = int(self.owned.size)
-        # The pregrouped exchange delivers a *static* u_local column every
-        # iteration of a level (the send parts never change), so the column and
-        # its radix cast are cached after the first propagation.  Failure
-        # injection permutes inboxes and disables the cache.
-        if in_order:
-            if self.prop_ul is None:
-                self.prop_ul = np.asarray(vl_in, dtype=np.int64)
-                self.prop_key_base = self.prop_ul * n
-                if n_local <= 1 << 16:
-                    self.prop_ul16 = self.prop_ul.astype(np.uint16)
-            ul = self.prop_ul
-            ul16 = self.prop_ul16
-            key = self.prop_key_base + c_in
-        else:
-            ul = np.asarray(vl_in, dtype=np.int64)
-            ul16 = None
-            key = ul * n + c_in
+        ul, c_in, w_in = inbox
+        self.out_ul, self.out_c, self.out_w = coalesce_pairs(
+            ul, c_in, self.owned.size, self.n_level, w_in
+        )
         # The distinct community labels seen on in-edges double as the
-        # sigma-fetch want set (distinct out_c == distinct c_in), so the flag
-        # scan here is not wasted work even on the sort paths.
-        flags = np.zeros(n_level, dtype=bool)
-        flags[c_in] = True
+        # sigma-fetch want set (distinct out_c == distinct c_in).
+        flags = np.zeros(self.n_level, dtype=bool)
+        flags[self.out_c] = True
         self.sigma_flags = flags
-        order = None
-        # Warm start: the Eq.-7 throttle means most sources keep their community
-        # between iterations, so most (u_local, c) keys are unchanged.
-        # Re-sorting through the previous permutation is then nearly sorted --
-        # the stable sort degenerates to a linear merge -- and any valid ordering
-        # gives bit-identical groups (sums fold in arrival order regardless).
-        if in_order and self.prev_order is not None:
-            churn = int(np.count_nonzero(key != self.prev_key))
-            if churn * 8 <= key.size:
-                order = self.prev_order[
-                    np.argsort(key[self.prev_order], kind="stable")
-                ]
-        if order is None:
-            # Remap the k live community labels to compact ids so the pair
-            # order can grade its strategy (dense grid / 16-bit radix /
-            # combined-key sort) by the live id range; ``cids`` is ascending,
-            # so compact order is label order and ``cids[...]`` restores labels.
-            cids = np.flatnonzero(flags)
-            k = int(cids.size)
-            dtype = np.uint16 if k <= 1 << 16 else np.int64
-            lut = np.empty(n_level, dtype=dtype)
-            lut[cids] = np.arange(k, dtype=dtype)
-            cc = lut[c_in]
-            order = pair_order(ul, cc, n_local, k, first_u16=ul16)
-            if order is None:
-                # Dense grid: no sort, so nothing to warm-start from.
-                self.out_ul, ccu, self.out_w = coalesce_pairs(
-                    ul, cc, n_local, k, w_in
-                )
-                self.out_c = cids[ccu]
-                self.prev_key = None
-                self.prev_order = None
-        if order is not None:
-            ukeys, self.out_w = coalesce_with_order(key, order, w_in)
-            self.out_ul = ukeys // n
-            self.out_c = ukeys - self.out_ul * n
-            self.prev_key = key
-            self.prev_order = order
         starts = segment_starts(self.out_ul)
         self.out_starts = starts
         seg = np.zeros(self.out_ul.size, dtype=np.int32)
@@ -298,7 +230,7 @@ class _VectorRankState(_RankStateBase):
             np.cumsum(seg, out=seg)
             seg -= 1
         self.out_seg = seg
-        return int(ul.size)
+        return int(c_in.size)
 
     def sigma_request(self):
         """Sigma fetch, first superstep: the communities this rank must read.
@@ -395,8 +327,9 @@ class _VectorRankState(_RankStateBase):
             c_h = np.empty(0, dtype=np.int64)
             w_h = np.empty(0, dtype=np.float64)
         # Pregroup per destination: a handful of boolean scans beats the bus's
-        # per-record argsort, and within-destination arrival order (hence every
-        # downstream fold) is unchanged.
+        # grouping sort (about 3x at 32k records over 2 ranks), and
+        # within-destination arrival order (hence every downstream fold) is
+        # unchanged.
         dest = self.partition.owner(c_h)
         parts = []
         for d in range(self.num_ranks):

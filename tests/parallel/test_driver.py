@@ -73,3 +73,19 @@ class TestDetectCommunities:
             detect_communities(
                 small_lfr.graph, algorithm="sequential", max_inner=3
             )
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [("schedule", ConstantSchedule(0.3)), ("machine", P7IH), ("threads", 3)],
+    )
+    def test_sequential_refuses_options_it_would_ignore(
+        self, small_lfr, option, value
+    ):
+        with pytest.raises(TypeError, match=option):
+            detect_communities(
+                small_lfr.graph, algorithm="sequential", **{option: value}
+            )
+
+    def test_sequential_accepts_num_ranks(self, small_lfr):
+        s = detect_communities(small_lfr.graph, algorithm="sequential", num_ranks=64)
+        assert s.algorithm == "sequential"

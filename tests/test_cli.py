@@ -95,6 +95,15 @@ class TestDetect:
         assert rc == 0
         assert "sequential: Q=" in capsys.readouterr().out
 
+    def test_sequential_rejects_machine(self, edge_file, capsys):
+        rc = main([
+            "detect", str(edge_file), "--algorithm", "sequential",
+            "--machine", "p7ih",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "--machine requires --algorithm parallel|naive|lpa\n"
+
     def test_lpa(self, edge_file, capsys):
         rc = main(["detect", str(edge_file), "--algorithm", "lpa"])
         assert rc == 0
@@ -191,17 +200,31 @@ class TestTrace:
 
     def test_chrome_modeled_track_reads_the_profiler(self, edge_file, tmp_path):
         """The modeled (pid 1) track needs a rank runtime's profiler: a
-        sequential run has none, so its export has no such track."""
+        sequential run has none, so its export has no such track.  (``detect``
+        refuses ``--machine`` for a sequential run, so that half exports
+        through the library.)"""
+        from repro import P7IH, detect_communities
+        from repro.graph import read_edge_list
+        from repro.observability import Tracer, export_trace
+
         tracks = {}
+        trace = tmp_path / "parallel.json"
+        rc = main([
+            "detect", str(edge_file), "--algorithm", "parallel",
+            "--machine", "p7ih", "--trace", str(trace),
+            "--trace-format", "chrome",
+        ])
+        assert rc == 0
+        tracer = Tracer()
+        detect_communities(
+            read_edge_list(edge_file), algorithm="sequential", tracer=tracer
+        )
+        export_trace(
+            tracer.events, str(tmp_path / "sequential.json"), "chrome",
+            machine=P7IH, profiler=None,
+        )
         for algorithm in ("sequential", "parallel"):
-            trace = tmp_path / f"{algorithm}.json"
-            rc = main([
-                "detect", str(edge_file), "--algorithm", algorithm,
-                "--machine", "p7ih", "--trace", str(trace),
-                "--trace-format", "chrome",
-            ])
-            assert rc == 0
-            doc = json.loads(trace.read_text())
+            doc = json.loads((tmp_path / f"{algorithm}.json").read_text())
             tracks[algorithm] = [e for e in doc["traceEvents"] if e["pid"] == 1]
         assert tracks["sequential"] == []
         assert any(e["ph"] == "X" and e["dur"] > 0 for e in tracks["parallel"])
